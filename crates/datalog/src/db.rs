@@ -4,10 +4,13 @@
 //! the paper's terminology — plus, after running an [`crate::Engine`], the
 //! derived intensional facts. Relations deduplicate tuples (set semantics,
 //! like Vadalog's chase with isomorphism checks) and maintain hash indexes
-//! on the column subsets the compiled rule plans need.
+//! on the column subsets the compiled rule plans need. Point lookups
+//! ([`Database::query`]) read per-column indexes of the same CSR layout
+//! the executors freeze, built lazily by the first lookup and shared by
+//! every clone of the database.
 
 use std::collections::hash_map::Entry;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{DatalogError, Result};
 use crate::fx::FxHashMap;
@@ -162,6 +165,8 @@ impl Columnar {
 /// [`Const`] order), per-key offsets, and a flat row array grouped by
 /// key. Within a key, rows keep insertion order — the same enumeration
 /// order a hash index produces, which the byte-identity contract needs.
+/// One layout, two users: the frozen images of the batch executor
+/// ([`Columnar`]) and the lookup indexes of [`Database::query`].
 #[derive(Debug)]
 pub(crate) struct Csr {
     width: usize,
@@ -171,30 +176,30 @@ pub(crate) struct Csr {
 }
 
 impl Csr {
-    /// Builds the adjacency over the key columns listed in `key_cols`
-    /// (ascending mask-bit order — the same projection order as
-    /// [`key_of`]) for `n` rows of the given strips.
-    fn build(strips: &[Box<[Const]>], key_cols: &[usize], n: usize) -> Csr {
-        let width = key_cols.len();
-        let key_at = |row: u32| key_cols.iter().map(move |&c| strips[c][row as usize]);
-        let mut order: Vec<u32> = (0..n as u32).collect();
+    /// Builds the adjacency for `n` rows whose `width`-const key is read
+    /// through `key_at` (key columns in ascending mask-bit order — the
+    /// same projection order as [`key_of`]). The accessor keeps the build
+    /// layout-agnostic: frozen images read their column strips, the lazy
+    /// lookup indexes read the row store directly.
+    fn build<K: Iterator<Item = Const>>(width: usize, n: usize, key_at: impl Fn(u32) -> K) -> Csr {
+        let mut rows: Vec<u32> = (0..n as u32).collect();
         // Stable sort: rows arrive in increasing row id, so equal keys
         // keep insertion order — identical to a hash index's push order.
-        order.sort_by(|&a, &b| key_at(a).cmp(key_at(b)));
+        rows.sort_by(|&a, &b| key_at(a).cmp(key_at(b)));
         let mut keys: Vec<Const> = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut rows = Vec::with_capacity(n);
-        for row in order {
+        let mut offsets: Vec<u32> = Vec::new();
+        for (at, &row) in rows.iter().enumerate() {
             let prev = keys.len().wrapping_sub(width);
             if keys.is_empty() || !key_at(row).eq(keys[prev..].iter().copied()) {
-                if !keys.is_empty() {
-                    offsets.push(rows.len() as u32);
-                }
+                offsets.push(at as u32);
                 keys.extend(key_at(row));
             }
-            rows.push(row);
         }
-        offsets.push(rows.len() as u32);
+        offsets.push(n as u32);
+        // The result stands for as long as the relation's contents do:
+        // hand back what the doubling growth over-reserved.
+        keys.shrink_to_fit();
+        offsets.shrink_to_fit();
         Csr {
             width,
             keys,
@@ -210,6 +215,11 @@ impl Csr {
             offsets: vec![0, 0],
             rows: Vec::new(),
         }
+    }
+
+    /// Heap bytes held: distinct keys, their offsets and one id per row.
+    fn heap_bytes(&self) -> usize {
+        self.keys.len() * std::mem::size_of::<Const>() + (self.offsets.len() + self.rows.len()) * 4
     }
 
     /// Rows whose key-column projection equals `key` (given in ascending
@@ -234,7 +244,7 @@ impl Csr {
 }
 
 /// A single relation: deduplicated tuples plus hash indexes.
-#[derive(Default, Debug, Clone)]
+#[derive(Default, Debug)]
 pub struct Relation {
     /// Tuples in insertion order (row id = position).
     tuples: Vec<Tuple>,
@@ -245,10 +255,39 @@ pub struct Relation {
     /// Frozen columnar image (stable relations only); `None` after any
     /// mutation. See [`Columnar`].
     columnar: Option<Arc<Columnar>>,
+    /// Lookup indexes of [`Database::query`]: one single-column [`Csr`]
+    /// per column, each built by the first lookup that binds the column.
+    /// Both levels are `OnceLock`s because readers hold only `&Relation`
+    /// (inside an `Arc<Database>` epoch) and N of them racing onto a
+    /// fresh epoch must build once. The cells are behind an `Arc` that
+    /// [`Clone`] shares, so an index serves every copy of these exact
+    /// contents; any mutation detaches from them (see
+    /// [`Relation::invalidate`]).
+    lookup: OnceLock<Arc<[OnceLock<Csr>]>>,
     /// Optional provenance parallel to `tuples`.
     prov: Vec<Option<ProvEntry>>,
     /// Whether provenance is being recorded.
     track_prov: bool,
+}
+
+// Hand-written for `lookup`: a derive would share the cells only when a
+// lookup had already created them, and nothing ever looks up the
+// writer's own database — each epoch is a clone of it. Creating the
+// (empty) cells here makes the clone and the original answer from the
+// same indexes, so an index a reader builds on epoch N is still there in
+// every later epoch that did not touch the relation.
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            tuples: self.tuples.clone(),
+            seen: self.seen.clone(),
+            indexes: self.indexes.clone(),
+            columnar: self.columnar.clone(),
+            lookup: OnceLock::from(self.lookup_cells().clone()),
+            prov: self.prov.clone(),
+            track_prov: self.track_prov,
+        }
+    }
 }
 
 impl Relation {
@@ -282,14 +321,56 @@ impl Relation {
         self.prov.get(row as usize).and_then(|p| p.as_ref())
     }
 
+    /// Width of the stored tuples (0 while the relation is empty).
+    fn arity(&self) -> usize {
+        self.tuples.first().map_or(0, |t| t.len())
+    }
+
+    /// The lookup-index cells of these contents, one per column, created
+    /// (empty) on first use.
+    fn lookup_cells(&self) -> &Arc<[OnceLock<Csr>]> {
+        self.lookup
+            .get_or_init(|| (0..self.arity()).map(|_| OnceLock::new()).collect())
+    }
+
+    /// The lookup index over column `col`, built on first use straight
+    /// off the row store: O(n log n) once per column and version of the
+    /// contents, then a binary search per lookup.
+    fn column_index(&self, col: usize) -> &Csr {
+        self.lookup_cells()[col].get_or_init(|| {
+            Csr::build(1, self.tuples.len(), |row| {
+                std::iter::once(self.tuples[row as usize][col])
+            })
+        })
+    }
+
+    /// How many columns currently have a lookup index — 0 right after
+    /// any mutation, and after a clone whatever the original has (the
+    /// two share them).
+    pub fn indexed_columns(&self) -> usize {
+        self.lookup.get().map_or(0, |cells| {
+            cells.iter().filter(|c| c.get().is_some()).count()
+        })
+    }
+
+    /// Drops everything derived from the current contents — the frozen
+    /// columnar image and the lookup indexes. Every mutation calls this
+    /// first; it is two pointer resets (`insert` is the fixpoint's inner
+    /// loop), never a walk. Clones that shared the lookup cells keep
+    /// them: their contents did not change.
+    fn invalidate(&mut self) {
+        self.columnar = None;
+        self.lookup.take();
+    }
+
     /// Rough heap footprint in bytes: tuple storage, the dedup map, hash
-    /// indexes and any frozen columnar image. A capacity-planning
-    /// estimate (shard skew, memory budgets), not an allocator
-    /// measurement.
+    /// indexes, any frozen columnar image and the lookup indexes built so
+    /// far (counted in full by every clone that shares them). A
+    /// capacity-planning estimate (shard skew, memory budgets), not an
+    /// allocator measurement.
     pub fn approx_heap_bytes(&self) -> usize {
         const CONST_BYTES: usize = std::mem::size_of::<Const>();
-        let arity = self.tuples.first().map_or(0, |t| t.len());
-        let tuple_bytes = arity * CONST_BYTES + 16; // Arc<[Const]> header
+        let tuple_bytes = self.arity() * CONST_BYTES + 16; // Arc<[Const]> header
         let mut total = self.tuples.len() * (tuple_bytes + 8); // + seen ref
         total += self.seen.len() * 16; // map slots
         for index in self.indexes.values() {
@@ -298,9 +379,14 @@ impl Relation {
         }
         if let Some(c) = &self.columnar {
             total += c.cols.len() * self.tuples.len() * CONST_BYTES;
-            for csr in c.csr.values() {
-                total += csr.keys.len() * CONST_BYTES + csr.rows.len() * 4;
-            }
+            total += c.csr.values().map(Csr::heap_bytes).sum::<usize>();
+        }
+        if let Some(cells) = self.lookup.get() {
+            total += cells
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(Csr::heap_bytes)
+                .sum::<usize>();
         }
         total
     }
@@ -359,7 +445,10 @@ impl Relation {
             // requested mask always answers — the hash index it replaces
             // may never have been registered.
             let csr_for = if key_cols.iter().all(|&c| c < cols.len()) {
-                Csr::build(&cols, &key_cols, self.tuples.len())
+                let (strips, key_cols) = (&cols, &key_cols);
+                Csr::build(key_cols.len(), self.tuples.len(), |row| {
+                    key_cols.iter().map(move |&c| strips[c][row as usize])
+                })
             } else {
                 Csr::empty(key_cols.len())
             };
@@ -390,7 +479,7 @@ impl Relation {
         if let Some(&row) = self.seen.get(&tuple) {
             return (row, false);
         }
-        self.columnar = None;
+        self.invalidate();
         let row = self.tuples.len() as u32;
         for (mask, index) in self.indexes.iter_mut() {
             index.entry(key_of(&tuple, *mask)).or_default().push(row);
@@ -412,7 +501,7 @@ impl Relation {
             return 0;
         }
         let masks: Vec<u64> = self.indexes.keys().copied().collect();
-        self.columnar = None;
+        self.invalidate();
         let old_tuples = std::mem::take(&mut self.tuples);
         let mut old_prov = std::mem::take(&mut self.prov);
         self.seen.clear();
@@ -441,7 +530,7 @@ impl Relation {
     /// the least fixpoint, not a derivation).
     pub(crate) fn replace_all(&mut self, rows: Vec<Tuple>) {
         let masks: Vec<u64> = self.indexes.keys().copied().collect();
-        self.columnar = None;
+        self.invalidate();
         self.tuples.clear();
         self.seen.clear();
         self.indexes.clear();
@@ -733,7 +822,21 @@ impl Database {
     }
 
     /// Queries a relation with a pattern: `None` positions are wildcards,
-    /// `Some(c)` positions must match exactly. Returns the matching rows.
+    /// `Some(c)` positions must match exactly. Returns the matching rows
+    /// in ascending row id — insertion order, exactly what filtering
+    /// [`Relation::rows`] by the pattern yields.
+    ///
+    /// A point lookup is an index read, not a scan. With every position
+    /// bound the answer is one probe of the dedup map
+    /// ([`Relation::find`]), O(1). With some bound it is a binary search
+    /// in the lookup index of the first bound column — O(log n + m) for
+    /// the m rows sharing that value — and a filter of those m rows by
+    /// the other bound positions. The index of a column is built by the
+    /// first lookup that binds it (O(n log n), once per column and
+    /// version of the relation, however many readers race for it), is
+    /// shared with every clone of the database and is dropped by the next
+    /// insert or removal. Only the all-wildcard pattern walks the
+    /// relation.
     ///
     /// ```
     /// use datalog::{Database, Const};
@@ -750,13 +853,28 @@ impl Database {
         let Some(rel) = self.relation(pred) else {
             return Vec::new();
         };
-        rel.rows()
+        if rel.is_empty() || rel.arity() != pattern.len() {
+            return Vec::new();
+        }
+        let first_bound = pattern
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| p.map(|k| (i, k)));
+        let Some((col, key)) = first_bound else {
+            return rel.rows().collect();
+        };
+        if pattern.iter().all(Option::is_some) {
+            let tuple: Vec<Const> = pattern.iter().flatten().copied().collect();
+            let row = rel.find(&tuple).map(|row| rel.row(row));
+            return row.into_iter().collect();
+        }
+        rel.column_index(col)
+            .rows_for(&[key])
+            .iter()
+            .map(|&row| rel.row(row))
             .filter(|row| {
-                row.len() == pattern.len()
-                    && row
-                        .iter()
-                        .zip(pattern)
-                        .all(|(c, p)| p.is_none_or(|pc| *c == pc))
+                let mut rest = row.iter().zip(pattern).skip(col + 1);
+                rest.all(|(c, p)| p.is_none_or(|pc| *c == pc))
             })
             .collect()
     }
@@ -1135,6 +1253,90 @@ mod tests {
         r.replace_all(vec![vec![Const::Int(9), Const::Int(9)].into()]);
         assert!(r.columnar().is_none());
         assert_eq!(r.lookup_rows(0b01, &[Const::Int(9)]), &[0]);
+    }
+
+    #[test]
+    fn lookup_index_is_lazy_per_column_and_dropped_by_every_mutation() {
+        let mut db = Database::new();
+        for (a, b) in [(3, 30), (1, 10), (3, 31), (2, 20), (1, 11)] {
+            db.fact("e").int(a).int(b).assert();
+        }
+        let built = |db: &Database| db.relation("e").unwrap().indexed_columns();
+        // All-free and fully bound patterns need no index.
+        assert_eq!(db.query("e", &[None, None]).len(), 5);
+        assert_eq!(
+            db.query("e", &[Some(Const::Int(3)), Some(Const::Int(31))]),
+            vec![&[Const::Int(3), Const::Int(31)][..]]
+        );
+        assert_eq!(built(&db), 0);
+        // A bound column builds its own index, once; rows come back in
+        // insertion order, and the footprint estimate sees the index.
+        let rel = db.relation("e").unwrap();
+        let heap_before = rel.approx_heap_bytes();
+        let threes = db.query("e", &[Some(Const::Int(3)), None]);
+        assert_eq!(threes, vec![rel.row(0), rel.row(2)]);
+        assert_eq!(built(&db), 1);
+        assert!(rel.approx_heap_bytes() > heap_before);
+        db.query("e", &[Some(Const::Int(1)), None]);
+        assert_eq!(built(&db), 1);
+        db.query("e", &[None, Some(Const::Int(20))]);
+        assert_eq!(built(&db), 2);
+        // A duplicate insert changes nothing and keeps the indexes …
+        db.fact("e").int(1).int(10).assert();
+        assert_eq!(built(&db), 2);
+        // … each real mutation drops them, and the next lookup sees the
+        // new contents.
+        db.fact("e").int(3).int(32).assert();
+        assert_eq!(built(&db), 0);
+        assert_eq!(db.query("e", &[Some(Const::Int(3)), None]).len(), 3);
+        assert!(db.retract_fact("e", &[Const::Int(3), Const::Int(30)]));
+        assert_eq!(built(&db), 0);
+        assert_eq!(db.query("e", &[Some(Const::Int(3)), None]).len(), 2);
+        db.relation_mut(0)
+            .replace_all(vec![vec![Const::Int(3), Const::Int(9)].into()]);
+        assert_eq!(built(&db), 0);
+        assert_eq!(db.query("e", &[Some(Const::Int(3)), None]).len(), 1);
+        assert!(db.query("e", &[Some(Const::Int(1)), None]).is_empty());
+    }
+
+    #[test]
+    fn lazily_indexed_stores_stay_shareable_values() {
+        // Epochs are `Arc<Database>` read from many threads, and the
+        // engines clone and default-construct relations freely; the
+        // interior `OnceLock`s must not cost any of that.
+        fn shareable<T: Send + Sync + Default + Clone + std::fmt::Debug>() {}
+        shareable::<Relation>();
+        shareable::<Database>();
+    }
+
+    #[test]
+    fn clones_share_lookup_indexes_until_one_side_mutates() {
+        let mut writer = Database::new();
+        for (a, b) in [(1, 10), (2, 20), (1, 11)] {
+            writer.fact("e").int(a).int(b).assert();
+        }
+        writer.fact("untouched").int(7).int(70).assert();
+        let built = |db: &Database, p: &str| db.relation(p).unwrap().indexed_columns();
+        // An epoch is a clone of the writer's database; a reader of the
+        // epoch builds the index, and the writer's side has it too …
+        let epoch1 = writer.clone();
+        assert_eq!(epoch1.query("e", &[Some(Const::Int(1)), None]).len(), 2);
+        assert_eq!(
+            epoch1
+                .query("untouched", &[Some(Const::Int(7)), None])
+                .len(),
+            1
+        );
+        assert_eq!((built(&epoch1, "e"), built(&writer, "e")), (1, 1));
+        // … so the next epoch starts with the index of every relation the
+        // update left alone, and without the one it changed.
+        writer.fact("e").int(1).int(12).assert();
+        let epoch2 = writer.clone();
+        assert_eq!((built(&epoch2, "untouched"), built(&epoch2, "e")), (1, 0));
+        assert_eq!(epoch2.query("e", &[Some(Const::Int(1)), None]).len(), 3);
+        // The old epoch keeps answering from its own index.
+        assert_eq!(built(&epoch1, "e"), 1);
+        assert_eq!(epoch1.query("e", &[Some(Const::Int(1)), None]).len(), 2);
     }
 
     #[test]

@@ -169,6 +169,10 @@ pub enum Body {
         swap_stall_max_ns: u64,
         /// Highest durable WAL commit sequence; 0 without a data dir.
         wal_seq: u64,
+        /// `query` goals answered with no bound argument — the only ones
+        /// that walk a relation instead of reading an index. Absent from
+        /// replies of servers that predate it; decodes as 0.
+        scan_lookups: u64,
     },
     /// `ping` / `shutdown` acknowledgement.
     Ok { epoch: u64 },
@@ -329,6 +333,7 @@ impl Response {
                 pinned_now,
                 swap_stall_max_ns,
                 wal_seq,
+                scan_lookups,
             } => {
                 fields.push(("epoch".into(), Json::Num(*epoch as f64)));
                 fields.push(("version".into(), Json::Str(version.clone())));
@@ -342,6 +347,7 @@ impl Response {
                     Json::Num(*swap_stall_max_ns as f64),
                 ));
                 fields.push(("wal_seq".into(), Json::Num(*wal_seq as f64)));
+                fields.push(("scan_lookups".into(), Json::Num(*scan_lookups as f64)));
             }
             Body::Ok { epoch } => {
                 fields.push(("epoch".into(), Json::Num(*epoch as f64)));
@@ -411,6 +417,7 @@ impl Response {
                 pinned_now: need_u64(&v, "pinned_now")?,
                 swap_stall_max_ns: need_u64(&v, "swap_stall_max_ns")?,
                 wal_seq: need_u64(&v, "wal_seq").unwrap_or(0),
+                scan_lookups: need_u64(&v, "scan_lookups").unwrap_or(0),
             }
         } else {
             Body::Ok { epoch }
@@ -519,6 +526,32 @@ mod tests {
             assert!(!line.contains('\n'), "one frame per line: {line}");
             assert_eq!(Response::decode(&line).unwrap(), r, "{line}");
         }
+    }
+
+    #[test]
+    fn stats_replies_without_the_newer_counters_still_decode() {
+        // What a server from before `scan_lookups` (and `wal_seq`) sends.
+        let old = "{\"ok\": true, \"epoch\": 2, \"version\": \"vadalink-serve/1\", \
+                   \"program\": \"control\", \"total_facts\": 9, \"committed\": 3, \
+                   \"freed\": 1, \"pinned_now\": 0, \"swap_stall_max_ns\": 700}";
+        let Body::Stats {
+            wal_seq,
+            scan_lookups,
+            ..
+        } = Response::decode(old).unwrap().body
+        else {
+            panic!("stats body");
+        };
+        assert_eq!((wal_seq, scan_lookups), (0, 0));
+        let new = old.replace("}", ", \"wal_seq\": 4, \"scan_lookups\": 5}");
+        assert!(matches!(
+            Response::decode(&new).unwrap().body,
+            Body::Stats {
+                wal_seq: 4,
+                scan_lookups: 5,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -306,6 +306,7 @@ pub fn dispatch(service: &GraphService, shutdown: &AtomicBool, req: Request) -> 
                     pinned_now: s.epochs.pinned_now as u64,
                     swap_stall_max_ns: s.epochs.swap_stall_max_ns,
                     wal_seq: s.wal_seq.unwrap_or(0),
+                    scan_lookups: s.scan_lookups,
                 },
             }
         }

@@ -8,11 +8,18 @@
 //!   epoch; the whole path runs under the epoch registry's writer token,
 //!   so there is never more than one update in flight;
 //! * a plain [`Engine`] shared by all **readers**. Point lookups answer
-//!   from a pinned epoch with [`datalog::goal_matches`] — an index read,
-//!   because the session keeps every epoch at fixpoint — and the engine
-//!   doubles as the differential reference: [`GraphService::query_on`]
-//!   re-derives the answer goal-directedly on the same snapshot, and the
-//!   concurrency suite asserts the two are byte-identical;
+//!   from a pinned epoch with [`datalog::goal_matches`]. The session
+//!   keeps every epoch at fixpoint, so nothing is derived at read time,
+//!   and [`Database::query`] underneath makes the read an index read: a
+//!   goal with a bound argument binary-searches that column's lookup
+//!   index (built by the epoch's first reader to bind the column, shared
+//!   by the others and by later epochs that leave the relation alone), a
+//!   fully bound goal probes the dedup map, and only an all-free goal
+//!   walks the relation ([`ServiceStats::scan_lookups`] counts those).
+//!   The engine doubles as the differential reference:
+//!   [`GraphService::query_on`] re-derives the answer goal-directedly on
+//!   the same snapshot, and the concurrency suite asserts the two are
+//!   byte-identical;
 //! * a provenance-enabled engine for **explanations**: the pinned
 //!   epoch's extensional facts are projected out ([`Database::project`])
 //!   and re-derived once with provenance on, cached per epoch, and
@@ -108,6 +115,9 @@ pub struct ServiceStats {
     pub total_facts: usize,
     /// Point lookups answered since construction.
     pub lookups: u64,
+    /// Of those, goals with no bound argument — the only lookups that
+    /// walk a relation instead of reading an index.
+    pub scan_lookups: u64,
     /// Updates committed since construction.
     pub updates: u64,
     /// Epoch lifecycle counters.
@@ -178,6 +188,7 @@ pub struct GraphService {
     /// Last provenance database, keyed by epoch id.
     explain_cache: Mutex<Option<(u64, Arc<Database>)>>,
     lookups: AtomicU64,
+    scan_lookups: AtomicU64,
     updates: AtomicU64,
 }
 
@@ -246,6 +257,7 @@ impl GraphService {
             store: None,
             explain_cache: Mutex::new(None),
             lookups: AtomicU64::new(0),
+            scan_lookups: AtomicU64::new(0),
             updates: AtomicU64::new(0),
         })
     }
@@ -343,9 +355,11 @@ impl GraphService {
     }
 
     /// As [`GraphService::lookup`] but on a caller-pinned epoch. Because
-    /// every epoch is a fixpoint database, the lookup is a relation read;
-    /// its answer is byte-identical to [`GraphService::query_on`] against
-    /// the same pin (the concurrency differential suite enforces this).
+    /// every epoch is a fixpoint database, the lookup is a read of the
+    /// goal's relation — through its lookup index whenever the goal binds
+    /// an argument (see [`Database::query`]); its answer is byte-identical
+    /// to [`GraphService::query_on`] against the same pin (the
+    /// concurrency differential suite enforces this).
     pub fn lookup_on(&self, pin: &PinnedEpoch, goal: &str) -> Result<Vec<String>, ServeError> {
         let q =
             Query::parse(goal).map_err(|e| ServeError::new(ErrorCode::BadGoal, e.to_string()))?;
@@ -357,6 +371,9 @@ impl GraphService {
             ));
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        if q.args.iter().all(Option::is_none) {
+            self.scan_lookups.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(datalog::goal_matches(db, &q))
     }
 
@@ -477,10 +494,8 @@ impl GraphService {
                 Lit::Bool(b) => tuple.push(Const::Bool(*b)),
             }
         }
-        if db
-            .query(&q.pred, &tuple.iter().map(|c| Some(*c)).collect::<Vec<_>>())
-            .is_empty()
-        {
+        // Existence is one probe of the relation's dedup map.
+        if db.relation(&q.pred).and_then(|r| r.find(&tuple)).is_none() {
             return Ok((pin.id(), None));
         }
         let prov = self.provenance_db(&pin)?;
@@ -495,6 +510,7 @@ impl GraphService {
             name: self.name.clone(),
             total_facts: pin.db().total_facts(),
             lookups: self.lookups.load(Ordering::Relaxed),
+            scan_lookups: self.scan_lookups.load(Ordering::Relaxed),
             updates: self.updates.load(Ordering::Relaxed),
             epochs: self.registry.snapshot_stats(),
             wal_seq: self
@@ -633,9 +649,12 @@ mod tests {
     fn stats_count_work() {
         let svc = service();
         let _ = svc.lookup("reach(\"a\", X)?").unwrap();
+        let _ = svc.lookup("reach(\"a\", \"b\")?").unwrap();
+        let _ = svc.lookup("reach(X, Y)?").unwrap();
         svc.apply_delta("+edge(c,d)").unwrap();
         let stats = svc.stats();
-        assert_eq!(stats.lookups, 1);
+        assert_eq!(stats.lookups, 3);
+        assert_eq!(stats.scan_lookups, 1, "only the all-free goal scans");
         assert_eq!(stats.updates, 1);
         assert_eq!(stats.epochs.current, 1);
         assert!(stats.total_facts > 0);

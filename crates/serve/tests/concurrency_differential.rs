@@ -25,9 +25,10 @@ use vada_link::programs::{CLOSELINK_PROGRAM, CONTROL_PROGRAM};
 
 const THRESHOLD: f64 = 0.2;
 
-/// Builds a service over a generated ownership graph; returns it plus
-/// the node names (`n<i>`) goals are drawn from.
-fn service_for(src: &str, with_threshold: bool, seed: u64) -> (Arc<GraphService>, Vec<String>) {
+/// A generated ownership graph (40 persons, 24 companies) loaded as
+/// facts, plus the node names (`n<i>`, persons first) goals are drawn
+/// from.
+fn register(seed: u64) -> (Database, Vec<String>) {
     let out = generate(&CompanyGraphConfig {
         persons: 40,
         companies: 24,
@@ -40,9 +41,15 @@ fn service_for(src: &str, with_threshold: bool, seed: u64) -> (Arc<GraphService>
         .chain(out.companies.iter())
         .map(|n| format!("n{}", n.index()))
         .collect();
-    let g = CompanyGraph::new(out.graph);
     let mut db = Database::new();
-    load_facts(&g, &mut db);
+    load_facts(&CompanyGraph::new(out.graph), &mut db);
+    (db, names)
+}
+
+/// Builds a service over a generated ownership graph; returns it plus
+/// the node names goals are drawn from.
+fn service_for(src: &str, with_threshold: bool, seed: u64) -> (Arc<GraphService>, Vec<String>) {
+    let (mut db, names) = register(seed);
     if with_threshold {
         db.assert_fact("th", &[Const::float(THRESHOLD)])
             .expect("arity");
@@ -185,4 +192,106 @@ fn closelink_differential_2_readers() {
 #[test]
 fn closelink_differential_8_readers() {
     run_differential(CLOSELINK_PROGRAM, true, "close_link", 8);
+}
+
+/// Eight readers released together onto an epoch nobody has read yet:
+/// every answer is byte-identical to the goal-directed reference, and
+/// the epoch's lookup indexes were built once per (relation, column) —
+/// on the one shared database, lazily, and only for the columns the
+/// goals bind. The next epoch then starts with the index of the relation
+/// its update left alone and without the one it changed.
+#[test]
+fn first_readers_of_a_fresh_epoch_share_one_index_build() {
+    const READERS: usize = 8;
+    let (mut db, names) = register(0x1DE);
+    // A base relation the control program never mentions: no update can
+    // touch it.
+    for (i, name) in names.iter().enumerate() {
+        let seat = ["rome", "milan", "turin"][i % 3];
+        db.assert_str_facts("seat", &[&[name, seat]]);
+    }
+    let program = Program::parse(CONTROL_PROGRAM).expect("bundled program parses");
+    let svc = Arc::new(GraphService::new(&program, db, ServiceConfig::default()).unwrap());
+    svc.apply_delta("+own(n0,n1,0.05)").expect("commit");
+
+    let built = |pin: &serve::PinnedEpoch, pred: &str| {
+        pin.db().relation(pred).expect("relation").indexed_columns()
+    };
+    let fresh = svc.pin();
+    assert_eq!(fresh.id(), 1);
+    for pred in ["control", "own", "seat"] {
+        assert_eq!(built(&fresh, pred), 0, "{pred}: the writer builds no index");
+    }
+
+    let barrier = Arc::new(std::sync::Barrier::new(READERS));
+    let names = Arc::new(names);
+    let threads: Vec<_> = (0..READERS)
+        .map(|t| {
+            let (svc, names, barrier) = (svc.clone(), names.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let pin = svc.pin();
+                barrier.wait();
+                // Every reader starts on a different node, so the first
+                // lookups of all four shapes race.
+                for i in 0..names.len() {
+                    let a = &names[(i + t * 5) % names.len()];
+                    let b = &names[(i * 7 + t) % names.len()];
+                    for goal in [
+                        format!("control(\"{a}\", X)?"),
+                        format!("control(X, \"{a}\")?"),
+                        format!("control(\"{a}\", \"{b}\")?"),
+                        format!("own(\"{a}\", X, W)?"),
+                        "seat(X, \"milan\")?".to_owned(),
+                    ] {
+                        let direct = svc.lookup_on(&pin, &goal).expect("lookup");
+                        let reference = svc.query_on(pin.db(), &goal).expect("reference").rows;
+                        assert_eq!(direct, reference, "reader {t}: {goal}");
+                    }
+                }
+                pin.id()
+            })
+        })
+        .collect();
+    for t in threads {
+        assert_eq!(
+            t.join().expect("reader thread"),
+            1,
+            "all readers share epoch 1"
+        );
+    }
+    assert_eq!(built(&fresh, "control"), 2, "both columns were bound");
+    assert_eq!(built(&fresh, "own"), 1, "only the owner column was bound");
+    assert_eq!(built(&fresh, "seat"), 1);
+    assert_eq!(svc.stats().scan_lookups, 0, "every goal bound an argument");
+
+    // A person who controls nothing but themselves takes a company over.
+    let pairs = svc.lookup_on(&fresh, "control(X, Y)?").expect("all pairs");
+    let raider = (0..40)
+        .map(|i| &names[i])
+        .find(|p| {
+            pairs
+                .iter()
+                .filter(|r| r.starts_with(&format!("control({p},")))
+                .count()
+                == 1
+        })
+        .expect("a person without holdings");
+    let target = &names[40];
+    let applied = svc
+        .apply_delta(&format!("+own({raider},{target},0.9)"))
+        .expect("takeover commits");
+    assert!(applied
+        .inserted
+        .contains(&format!("control({raider},{target})")));
+    let next = svc.pin();
+    assert_eq!(next.id(), 2);
+    assert_eq!(
+        built(&next, "seat"),
+        1,
+        "an untouched relation keeps its index"
+    );
+    assert_eq!(built(&next, "control"), 0, "a changed relation re-indexes");
+    assert_eq!(built(&next, "own"), 0);
+    assert_eq!(built(&fresh, "control"), 2, "the old epoch keeps its own");
+    assert_eq!(svc.stats().scan_lookups, 1, "the all-free goal above");
 }

@@ -108,6 +108,7 @@ proptest! {
                 pinned_now: epoch / 7,
                 swap_stall_max_ns: epoch / 11,
                 wal_seq: epoch / 13,
+                scan_lookups: epoch / 17,
             },
             4 => Body::Ok { epoch },
             _ => Body::Error {
