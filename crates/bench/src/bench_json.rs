@@ -1,85 +1,16 @@
-//! Machine-readable datalog benchmark: `repro --bench-json`.
-//!
-//! Runs the bundled Vadalog programs (control, close-link, generic
-//! pipeline) over a deterministically generated company graph twice per
-//! program — cost-based planning on and off — and emits the measurements
-//! as `BENCH_datalog.json`. The file is the artifact CI smokes: a schema
-//! validator ([`validate_bench_json`]) lives next to the writer so the
-//! JSON contract is enforced by `cargo test` and by the `repro` binary
-//! itself right after writing.
+//! Shared plumbing of the `repro --bench-json` artifacts: paired engine
+//! timing, database snapshots, JSON number/string rendering and the
+//! validator scaffolding every `BENCH_*` schema starts from.
 //!
 //! No serde in the build environment, so both sides are hand-rolled: the
-//! writer builds the document with `format!`, the validator embeds a tiny
-//! recursive-descent JSON parser. That is deliberate scope control — the
-//! schema is one object, one array, all leaves primitive.
+//! writers build their documents with `format!`, the validators parse with
+//! the serving layer's JSON reader (`serve::json`).
 
 use std::time::Instant;
 
-use datalog::{Database, Engine, Program};
-use gen::company::{generate, CompanyGraphConfig};
+use datalog::{Database, Engine};
 use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
-use vada_link::programs::{CLOSELINK_PROGRAM, CONTROL_PROGRAM, GENERIC_PIPELINE_PROGRAM};
-
-/// Schema tag written into — and demanded from — every bench document.
-pub const BENCH_SCHEMA: &str = "vadalink-bench-datalog/1";
-
-/// Close-link threshold used for the benchmark run (the paper's default).
-const CLOSELINK_THRESHOLD: f64 = 0.2;
-
-/// Measurements for one bundled program, planning on vs off.
-#[derive(Debug, Clone)]
-pub struct ProgramBench {
-    /// Program name (`control`, `close_link`, `generic_pipeline`).
-    pub name: &'static str,
-    /// Best-of-`repeats` fixpoint wall time with the planner enabled.
-    pub plan_on_secs: f64,
-    /// Best-of-`repeats` fixpoint wall time with the planner disabled.
-    pub plan_off_secs: f64,
-    /// `plan_off_secs / plan_on_secs` — how much planning buys.
-    pub speedup: f64,
-    /// Facts derived by the fixpoint (identical across modes).
-    pub facts_derived: usize,
-    /// Semi-naive rounds across strata (identical across modes).
-    pub rounds: usize,
-    /// Largest single relation after the run (relations only grow during
-    /// the fixpoint, so post-run size is the in-run peak for every
-    /// relation `@post` does not compact).
-    pub peak_relation_rows: usize,
-    /// Total stored facts after the run.
-    pub total_facts: usize,
-    /// Whether the planned and unplanned runs produced identical
-    /// databases (every relation, every tuple).
-    pub outputs_match: bool,
-    /// True when planning made the run *slower* (`speedup < 1.0`). The
-    /// validator accepts such documents but warns loudly, so a planner
-    /// regression is visible in CI logs and in the committed artifact
-    /// instead of hiding inside a raw float.
-    pub regression: bool,
-}
-
-/// Benchmark workload knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    /// Person nodes in the generated company graph (companies = half).
-    pub persons: usize,
-    /// Generator seed.
-    pub seed: u64,
-    /// Engine worker threads (1 = sequential reference path).
-    pub threads: usize,
-    /// Timing repeats per mode; the minimum is reported.
-    pub repeats: usize,
-}
-
-/// The three bundled programs the benchmark exercises. Close-link needs
-/// the threshold fact; the others run on the mapped graph alone.
-fn programs() -> [(&'static str, &'static str, Option<f64>); 3] {
-    [
-        ("control", CONTROL_PROGRAM, None),
-        ("close_link", CLOSELINK_PROGRAM, Some(CLOSELINK_THRESHOLD)),
-        ("generic_pipeline", GENERIC_PIPELINE_PROGRAM, None),
-    ]
-}
 
 pub(crate) fn fresh_db(g: &CompanyGraph, threshold: Option<f64>) -> Database {
     let mut db = Database::new();
@@ -92,7 +23,7 @@ pub(crate) fn fresh_db(g: &CompanyGraph, threshold: Option<f64>) -> Database {
 }
 
 /// Full-database dump: every predicate's sorted tuples, sorted by name.
-/// Used to assert the planned and unplanned runs are indistinguishable.
+/// Used to assert that two runs are indistinguishable.
 pub(crate) fn db_snapshot(db: &Database) -> Vec<(String, Vec<String>)> {
     let mut snap: Vec<(String, Vec<String>)> = (0..db.pred_count() as u32)
         .map(|p| {
@@ -103,17 +34,6 @@ pub(crate) fn db_snapshot(db: &Database) -> Vec<(String, Vec<String>)> {
         .collect();
     snap.sort();
     snap
-}
-
-fn relation_profile(db: &Database) -> (usize, usize) {
-    let mut peak = 0usize;
-    let mut total = 0usize;
-    for p in 0..db.pred_count() as u32 {
-        let n = db.relation(db.pred_name(p)).map(|r| r.len()).unwrap_or(0);
-        peak = peak.max(n);
-        total += n;
-    }
-    (peak, total)
 }
 
 /// One run of `engine` on a fresh database, returning the wall time of
@@ -158,51 +78,8 @@ pub(crate) fn timed_pair(
     (best_a, best_b, stats, db_a, db_b)
 }
 
-/// Runs every bundled program with planning on and off at
-/// `cfg.threads`, returning one row per program.
-pub fn run_datalog_bench(cfg: &BenchConfig) -> Vec<ProgramBench> {
-    let out = generate(&CompanyGraphConfig {
-        persons: cfg.persons,
-        companies: cfg.persons / 2,
-        seed: cfg.seed,
-        ..Default::default()
-    });
-    let g = CompanyGraph::new(out.graph);
-
-    let mut rows = Vec::new();
-    for (name, src, threshold) in programs() {
-        let program = Program::parse(src).expect("bundled program parses");
-        let mut on = Engine::new(&program).expect("bundled program compiles");
-        on.options_mut().threads = cfg.threads;
-        on.options_mut().plan = true;
-        let mut off = Engine::new(&program).expect("bundled program compiles");
-        off.options_mut().threads = cfg.threads;
-        off.options_mut().plan = false;
-
-        let (plan_on_secs, plan_off_secs, stats, db_on, db_off) =
-            timed_pair(&on, &off, &g, threshold, cfg.repeats);
-
-        let outputs_match = db_snapshot(&db_on) == db_snapshot(&db_off);
-        let (peak_relation_rows, total_facts) = relation_profile(&db_on);
-        let speedup = plan_off_secs / plan_on_secs.max(1e-12);
-        rows.push(ProgramBench {
-            name,
-            plan_on_secs,
-            plan_off_secs,
-            speedup,
-            facts_derived: stats.derived,
-            rounds: stats.rounds,
-            peak_relation_rows,
-            total_facts,
-            outputs_match,
-            regression: speedup < 1.0,
-        });
-    }
-    rows
-}
-
 // ---------------------------------------------------------------------------
-// Writer
+// Writer helpers
 // ---------------------------------------------------------------------------
 
 /// JSON string escaping — shared with the serving layer's wire protocol.
@@ -218,50 +95,8 @@ pub fn num(v: f64) -> String {
     }
 }
 
-/// Renders the benchmark document.
-pub fn render_bench_json(cfg: &BenchConfig, rows: &[ProgramBench]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{}\",\n", esc(BENCH_SCHEMA)));
-    s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
-    s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
-    s.push_str("  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", esc(r.name)));
-        s.push_str(&format!(
-            "      \"plan_on_secs\": {},\n",
-            num(r.plan_on_secs)
-        ));
-        s.push_str(&format!(
-            "      \"plan_off_secs\": {},\n",
-            num(r.plan_off_secs)
-        ));
-        s.push_str(&format!("      \"speedup\": {},\n", num(r.speedup)));
-        s.push_str(&format!("      \"facts_derived\": {},\n", r.facts_derived));
-        s.push_str(&format!("      \"rounds\": {},\n", r.rounds));
-        s.push_str(&format!(
-            "      \"peak_relation_rows\": {},\n",
-            r.peak_relation_rows
-        ));
-        s.push_str(&format!("      \"total_facts\": {},\n", r.total_facts));
-        s.push_str(&format!("      \"outputs_match\": {},\n", r.outputs_match));
-        s.push_str(&format!("      \"regression\": {}\n", r.regression));
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
 // ---------------------------------------------------------------------------
-// Validator (schema checks over the shared JSON reader)
+// Validator scaffolding (over the shared JSON reader)
 // ---------------------------------------------------------------------------
 
 /// Parsed JSON value and document parser. This module used to carry its
@@ -314,154 +149,9 @@ pub(crate) fn non_empty_array<'a>(doc: &'a JVal, field: &str) -> Result<&'a Vec<
     }
 }
 
-/// Validates a `BENCH_datalog.json` document against the
-/// `vadalink-bench-datalog/1` schema: field presence, types, and the
-/// basic sanity invariants (positive timings, non-empty program list,
-/// matched outputs).
-pub fn validate_bench_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        BENCH_SCHEMA,
-        &["persons", "seed", "threads", "repeats"],
-    )?;
-    let programs = non_empty_array(&doc, "programs")?;
-    for (i, p) in programs.iter().enumerate() {
-        let ctx = |msg: String| format!("programs[{i}]: {msg}");
-        match p.get("name") {
-            Some(JVal::Str(s)) if !s.is_empty() => {}
-            _ => return Err(ctx("missing non-empty string field 'name'".into())),
-        }
-        for field in ["plan_on_secs", "plan_off_secs", "speedup"] {
-            let v = want_num(p, field).map_err(&ctx)?;
-            if v <= 0.0 || v.is_nan() {
-                return Err(ctx(format!("field '{field}' must be > 0")));
-            }
-        }
-        for field in [
-            "facts_derived",
-            "rounds",
-            "peak_relation_rows",
-            "total_facts",
-        ] {
-            let v = want_num(p, field).map_err(&ctx)?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(ctx(format!(
-                    "field '{field}' must be a non-negative integer"
-                )));
-            }
-        }
-        match p.get("outputs_match") {
-            Some(JVal::Bool(true)) => {}
-            Some(JVal::Bool(false)) => {
-                return Err(ctx(
-                    "outputs_match is false — planner changed the derived database".into(),
-                ))
-            }
-            _ => return Err(ctx("missing boolean field 'outputs_match'".into())),
-        }
-        // A regression is legitimate data, not a schema violation — the
-        // flag exists so the slowdown is visible rather than buried in a
-        // float. Warn loudly, accept the document.
-        match p.get("regression") {
-            Some(JVal::Bool(flagged)) => {
-                let speedup = want_num(p, "speedup").map_err(&ctx)?;
-                if *flagged != (speedup < 1.0) {
-                    return Err(ctx(format!(
-                        "field 'regression' ({flagged}) disagrees with speedup {speedup}"
-                    )));
-                }
-                if *flagged {
-                    let name = match p.get("name") {
-                        Some(JVal::Str(s)) => s.clone(),
-                        _ => format!("programs[{i}]"),
-                    };
-                    eprintln!(
-                        "warning: {name}: planning made the run slower \
-                         (speedup {speedup:.3} < 1.0) — regression flagged"
-                    );
-                }
-            }
-            Some(_) => return Err(ctx("field 'regression' must be a boolean".into())),
-            None => return Err(ctx("missing boolean field 'regression'".into())),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_rows() -> Vec<ProgramBench> {
-        vec![ProgramBench {
-            name: "control",
-            plan_on_secs: 0.5,
-            plan_off_secs: 1.0,
-            speedup: 2.0,
-            facts_derived: 123,
-            rounds: 7,
-            peak_relation_rows: 99,
-            total_facts: 400,
-            outputs_match: true,
-            regression: false,
-        }]
-    }
-
-    fn sample_cfg() -> BenchConfig {
-        BenchConfig {
-            persons: 100,
-            seed: 1,
-            threads: 1,
-            repeats: 1,
-        }
-    }
-
-    #[test]
-    fn writer_output_validates() {
-        let text = render_bench_json(&sample_cfg(), &sample_rows());
-        validate_bench_json(&text).expect("writer output must satisfy the schema");
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let good = render_bench_json(&sample_cfg(), &sample_rows());
-        // Not JSON at all.
-        assert!(validate_bench_json("not json").is_err());
-        // Wrong schema tag.
-        let bad = good.replace(BENCH_SCHEMA, "something-else/9");
-        assert!(validate_bench_json(&bad).is_err());
-        // Missing required field.
-        let bad = good.replace("\"speedup\"", "\"sped_up\"");
-        assert!(validate_bench_json(&bad).is_err());
-        // Output mismatch is a validation failure, not a warning.
-        let bad = good.replace("\"outputs_match\": true", "\"outputs_match\": false");
-        assert!(validate_bench_json(&bad).is_err());
-        // Empty program list.
-        let mut rows = sample_rows();
-        rows.clear();
-        let bad = render_bench_json(&sample_cfg(), &rows);
-        assert!(validate_bench_json(&bad).is_err());
-    }
-
-    #[test]
-    fn regression_flag_warns_but_validates() {
-        // A slower-with-planning row is data, not corruption: the
-        // document must validate as long as the flag agrees with the
-        // measured speedup.
-        let mut rows = sample_rows();
-        rows[0].plan_on_secs = 1.0;
-        rows[0].plan_off_secs = 0.9;
-        rows[0].speedup = 0.9;
-        rows[0].regression = true;
-        let text = render_bench_json(&sample_cfg(), &rows);
-        validate_bench_json(&text).expect("regression documents are valid");
-        // But the flag may not contradict the float.
-        let lying = text.replace("\"regression\": true", "\"regression\": false");
-        assert!(validate_bench_json(&lying).is_err());
-        let missing = text.replace("      \"regression\": true\n", "");
-        let missing = missing.replace("\"outputs_match\": true,", "\"outputs_match\": true");
-        assert!(validate_bench_json(&missing).is_err());
-    }
 
     #[test]
     fn json_parser_handles_escapes_and_nesting() {
@@ -477,24 +167,5 @@ mod tests {
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&JVal::Null));
         assert!(parse_json("{\"a\": 1,}").is_err());
         assert!(parse_json("[1, 2] trailing").is_err());
-    }
-
-    #[test]
-    fn bench_runs_end_to_end_on_a_tiny_graph() {
-        let cfg = BenchConfig {
-            persons: 60,
-            seed: 0xEDB7,
-            threads: 1,
-            repeats: 1,
-        };
-        let rows = run_datalog_bench(&cfg);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.outputs_match, "{}: plan on/off diverged", r.name);
-            assert!(r.plan_on_secs > 0.0 && r.plan_off_secs > 0.0);
-            assert!(r.total_facts >= r.peak_relation_rows);
-        }
-        let text = render_bench_json(&cfg, &rows);
-        validate_bench_json(&text).expect("real bench output must validate");
     }
 }

@@ -2,17 +2,15 @@
 //!
 //! ```text
 //! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|serve|compile|store]
-//!       [--scale small|full] [--threads N] [--bench-json [PATH]] [--no-compile]
+//!       [--scale small|full] [--threads N] [--bench-json [PATH]]
 //! ```
 //!
 //! `small` (default) finishes in a few minutes; `full` pushes the sweeps
 //! to the paper's ranges (100k-person graphs, 1–500 clusters).
 //!
-//! `--bench-json` skips the figure sweeps and instead writes a
-//! schema-validated JSON benchmark artifact. With the default experiment
-//! selection it benchmarks the bundled Vadalog programs with cost-based
-//! planning on vs off (`BENCH_datalog.json`, schema
-//! `vadalink-bench-datalog/1`); with `--exp incr` it benchmarks
+//! `--bench-json` skips the figure sweeps and instead writes the
+//! schema-validated JSON benchmark artifact of the experiment `--exp`
+//! names: with `--exp incr` it benchmarks
 //! incremental update propagation vs full recomputation across batch
 //! sizes (`BENCH_incr.json`, schema `vadalink-bench-incr/1`); with
 //! `--exp magic` it benchmarks goal-directed point lookups vs full
@@ -22,27 +20,21 @@
 //! a closed-loop zipfian reader workload across reader/writer mixes
 //! (`BENCH_serve.json`, schema `vadalink-bench-serve/1`: sustained qps,
 //! p50/p99 latency, epoch-swap stall); with `--exp compile` it benchmarks
-//! closure-chain compiled execution vs the interpreted step machine plus
+//! the production executors vs the reference oracle plus
 //! the linkage distance kernels vs their scalar references
 //! (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
-//! `--exp store` it benchmarks the durable sharded store — fixpoint time
-//! across shard counts (byte-identity checked), recovery time vs snapshot
-//! cadence after a simulated crash, and one large-register scale probe
-//! (1M persons at `--full`) — writing `BENCH_store.json` (schema
-//! `vadalink-bench-store/1`). All
+//! `--exp store` it benchmarks the durable store — recovery time vs
+//! snapshot cadence after a simulated crash, and one large-register scale
+//! probe (1M persons at `--full`) — writing `BENCH_store.json` (schema
+//! `vadalink-bench-store/2`). All
 //! documents are validated in-process before they are written, so a
 //! malformed artifact fails loudly — CI smokes every path in release
 //! mode.
-//!
-//! `--no-compile` disables closure-chain compiled execution process-wide
-//! (every engine this run constructs falls back to the interpreted step
-//! machine) — the escape hatch if a compiled-execution bug is suspected.
 //!
 //! `--exp incr` without `--bench-json` prints the same sweep as a table:
 //! per batch size, incremental update latency, full-recompute time, the
 //! speedup, and the number of changed facts.
 
-use bench::bench_json::{render_bench_json, run_datalog_bench, validate_bench_json, BenchConfig};
 use bench::compile_bench::{
     render_compile_json, run_compile_bench, run_kernel_bench, validate_compile_json, CompileConfig,
 };
@@ -99,9 +91,6 @@ fn parse_args() -> Args {
                 }
                 par::set_threads(n);
             }
-            "--no-compile" => {
-                datalog::set_compile_default(false);
-            }
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -117,51 +106,6 @@ fn parse_args() -> Args {
 }
 
 const SEED: u64 = 0xEDB7;
-
-/// Runs the datalog plan-on/plan-off benchmark and writes + validates the
-/// JSON artifact. Exits non-zero on schema or identity failure.
-fn run_bench_json(path: &str, full: bool) {
-    let cfg = BenchConfig {
-        persons: if full { 4_000 } else { 1_500 },
-        seed: SEED,
-        threads: 1,
-        repeats: 5,
-    };
-    println!(
-        "Datalog bench: bundled programs, planning on vs off ({} persons, {} repeats, 1 thread)",
-        cfg.persons, cfg.repeats
-    );
-    let rows = run_datalog_bench(&cfg);
-    println!(
-        "{:>18} {:>12} {:>13} {:>9} {:>9} {:>8} {:>10}",
-        "program", "plan_on_s", "plan_off_s", "speedup", "derived", "rounds", "peak_rows"
-    );
-    for r in &rows {
-        println!(
-            "{:>18} {:>12.3} {:>13.3} {:>8.2}x {:>9} {:>8} {:>10}",
-            r.name,
-            r.plan_on_secs,
-            r.plan_off_secs,
-            r.speedup,
-            r.facts_derived,
-            r.rounds,
-            r.peak_relation_rows
-        );
-    }
-    let text = render_bench_json(&cfg, &rows);
-    if let Err(e) = validate_bench_json(&text) {
-        eprintln!("generated benchmark JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(path, &text) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nwrote {path} (schema {} — validated)",
-        bench::bench_json::BENCH_SCHEMA
-    );
-}
 
 /// Shared workload knobs of the incremental sweep (table and JSON modes).
 /// The small scale stays above the acceptance floor (>= 1500 persons,
@@ -346,13 +290,14 @@ fn run_serve(json_path: Option<&str>, full: bool) {
     }
 }
 
-/// Runs the compiled-vs-interpreted sweep (programs + linkage kernels);
+/// Runs the production-vs-oracle sweep (programs + linkage kernels);
 /// optionally writes + validates the `BENCH_compile.json` artifact. Exits
 /// non-zero on schema or identity failure.
 fn run_compile(json_path: Option<&str>, full: bool) {
-    // Full scale sits in the join-dominated regime where the per-tuple
-    // dispatch savings dominate shared costs (generation, canonical sort,
-    // insertion); the quick scale is a CI-friendly smoke of the same sweep.
+    // Full scale sits in the join-dominated regime where planning and the
+    // executors dominate shared costs (generation, canonical sort,
+    // insertion) — the oracle's close-link run takes about a minute there,
+    // so the sweep takes ~7 minutes; the quick scale is a CI smoke.
     let cfg = CompileConfig {
         persons: if full { 15_000 } else { 1_500 },
         seed: SEED,
@@ -361,8 +306,8 @@ fn run_compile(json_path: Option<&str>, full: bool) {
         kernel_pairs: if full { 200_000 } else { 50_000 },
     };
     println!(
-        "Compiled execution bench: bundled programs, closure-chain compiled vs \
-         interpreted ({} persons, {} repeats, 1 thread; planning on in both modes)",
+        "Compiled execution bench: bundled programs, production pipeline vs \
+         reference oracle ({} persons, {} repeats, 1 thread)",
         cfg.persons, cfg.repeats
     );
     let programs = run_compile_bench(&cfg);
@@ -375,7 +320,11 @@ fn run_compile(json_path: Option<&str>, full: bool) {
             "{:>18} {:>12.4} {:>14.4} {:>8.2}x {:>9} {:>8}",
             r.name, r.compiled_secs, r.interpreted_secs, r.speedup, r.facts_derived, r.rounds
         );
-        assert!(r.outputs_match, "{}: compiled run diverged", r.name);
+        assert!(
+            r.outputs_match,
+            "{}: production diverged from oracle",
+            r.name
+        );
     }
     println!(
         "\nLinkage kernel bench: blocked/bit-parallel distance kernels vs scalar \
@@ -416,18 +365,15 @@ fn run_compile(json_path: Option<&str>, full: bool) {
     }
 }
 
-/// Runs the durable-store sweeps (shard scaling, recovery vs snapshot
-/// cadence, register scale); optionally writes + validates the
-/// `BENCH_store.json` artifact. Exits non-zero on schema or identity
-/// failure.
+/// Runs the durable-store sweeps (recovery vs snapshot cadence, register
+/// scale); optionally writes + validates the `BENCH_store.json` artifact.
+/// Exits non-zero on schema or identity failure.
 fn run_store(json_path: Option<&str>, full: bool) {
     let cfg = StoreBenchConfig {
         persons: if full { 8_000 } else { 2_000 },
         seed: SEED,
         threads: 1,
-        repeats: if full { 3 } else { 2 },
         updates: if full { 200 } else { 50 },
-        shard_counts: vec![1, 2, 4, 8],
         cadences: if full {
             vec![0, 16, 64]
         } else {
@@ -436,28 +382,13 @@ fn run_store(json_path: Option<&str>, full: bool) {
         register_persons: if full { 1_000_000 } else { 20_000 },
     };
     println!(
-        "Durable store bench: sharded fixpoint + crash recovery \
-         ({} persons, {} committed updates, {} repeats, workers = shards)",
-        cfg.persons, cfg.updates, cfg.repeats
+        "Durable store bench: crash recovery + register scale \
+         ({} persons, {} committed updates)",
+        cfg.persons, cfg.updates
     );
     let report = run_store_bench(&cfg);
     println!(
-        "{:>8} {:>12} {:>9} {:>8}",
-        "shards", "eval_s", "speedup", "skew"
-    );
-    for r in &report.shard_rows {
-        println!(
-            "{:>8} {:>12.3} {:>8.2}x {:>8.2}",
-            r.shards, r.eval_secs, r.speedup, r.skew
-        );
-        assert!(
-            r.outputs_match,
-            "shards {}: sharded eval diverged",
-            r.shards
-        );
-    }
-    println!(
-        "\n{:>9} {:>9} {:>12} {:>11} {:>12}",
+        "{:>9} {:>9} {:>12} {:>11} {:>12}",
         "cadence", "commits", "recovery_s", "snapshots", "tail_frames"
     );
     for r in &report.recovery_rows {
@@ -479,8 +410,8 @@ fn run_store(json_path: Option<&str>, full: bool) {
         reg.heap_bytes / (1 << 20)
     );
     println!(
-        "acceptance: every shard count byte-identical; every cadence recovers \
-         canonically identical state (EXPERIMENTS.md)."
+        "acceptance: every cadence recovers canonically identical state \
+         (EXPERIMENTS.md)."
     );
     if let Some(path) = json_path {
         let text = render_store_json(&cfg, &report);
@@ -518,8 +449,8 @@ fn main() {
             let path = path.as_deref().unwrap_or("BENCH_store.json");
             run_store(Some(path), args.full);
         } else {
-            let path = path.as_deref().unwrap_or("BENCH_datalog.json");
-            run_bench_json(path, args.full);
+            eprintln!("--bench-json needs --exp incr|magic|serve|compile|store");
+            std::process::exit(2);
         }
         return;
     }

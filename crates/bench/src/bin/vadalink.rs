@@ -67,9 +67,7 @@
 //! register only on the first boot of an empty directory. The directory
 //! must already exist — a missing path is a usage error (exit 2), while a
 //! directory locked by another live process or written by an incompatible
-//! store version exits 1 with a diagnostic. `--shards N` partitions the
-//! fixpoint's round work by node hash across N shards (results are
-//! byte-identical for every N).
+//! store version exits 1 with a diagnostic.
 //!
 //! All usage errors (unknown flags or subcommands, missing values) exit 2
 //! and print the usage summary to stderr; `--help`/`-h` prints it to
@@ -116,10 +114,6 @@ subcommands:
 
 global options:
   --threads N   pin the worker-thread count
-  --shards N    hash-partition round work across N shards (default 1;
-                results are byte-identical for every N)
-  --no-compile  disable closure-chain compiled execution (interpreted
-                step machine; escape hatch — results are identical)
   -h, --help    print this help and exit
 
 durability options (update, serve):
@@ -209,16 +203,6 @@ fn parse_opts() -> Result<Opts, String> {
                     return Err("--threads must be at least 1".into());
                 }
                 par::set_threads(n);
-            }
-            "--no-compile" => datalog::set_compile_default(false),
-            "--shards" => {
-                let n: usize = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                datalog::set_shards_default(n);
             }
             "--data-dir" => opts.data_dir = Some(next(&mut i)?),
             "--fsync" => {

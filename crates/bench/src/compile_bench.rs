@@ -5,22 +5,22 @@
 //! [`COMPILE_SCHEMA`]):
 //!
 //! * **Programs** — the bundled Vadalog programs run over a generated
-//!   company graph twice per program, closure-chain compilation on and
-//!   off (cost planning stays on in both, so the delta isolates the
-//!   executor). The harness re-uses the plan benchmark's interleaved
-//!   `timed_pair` discipline and asserts the two database images are
-//!   identical before reporting a speedup.
+//!   company graph twice per program: the production pipeline (cost
+//!   planning, closure chains, batch tier) on the `compiled_secs` side
+//!   and the reference oracle (textual order, step machine —
+//!   `EngineOptions::oracle`) on the `interpreted_secs` side. The
+//!   harness interleaves the two (`timed_pair`) and asserts the two
+//!   database images are identical before reporting a speedup.
 //! * **Kernels** — the `linkage::distance` hot functions timed against
 //!   their scalar [`linkage::distance::reference`] twins over a fixed
 //!   corpus of generated name pairs (the Fig. 4a inner loop), reported
 //!   as ns/pair. Equality of every output is checked while timing.
 //!
 //! The validator enforces the schema and internal consistency (matched
-//! outputs, flags agreeing with floats). Unlike the plan benchmark —
-//! which only warns — a row flagged `regression: true` is a hard error
-//! here: the compiled executor regressing below the interpreter is
-//! exactly the claim this artifact exists to defend, so a regressed
-//! document must not validate. The flag carries a guard band
+//! outputs, flags agreeing with floats). A row flagged
+//! `regression: true` is a hard error: production regressing below the
+//! oracle is exactly the claim this artifact exists to defend, so a
+//! regressed document must not validate. The flag carries a guard band
 //! ([`REGRESSION_BAND`]: `regression` iff `speedup < 0.95`) because
 //! some rows are identity witnesses sitting at ≈1.00× by design —
 //! without the band, timer noise straddling 1.0 would make the hard
@@ -53,28 +53,26 @@ const CLOSELINK_THRESHOLD: f64 = 0.2;
 /// noise lands.
 pub const REGRESSION_BAND: f64 = 0.95;
 
-/// Measurements for one bundled program, compiled vs interpreted.
+/// Measurements for one bundled program, production vs oracle.
 #[derive(Debug, Clone)]
 pub struct CompileProgramBench {
     /// Program name (`control`, `close_link`, `generic_pipeline`).
     pub name: &'static str,
-    /// Best-of-`repeats` fixpoint wall time with closure-chain compiled
-    /// execution (planning on in both modes).
+    /// Best-of-`repeats` fixpoint wall time of the production pipeline.
     pub compiled_secs: f64,
-    /// Best-of-`repeats` fixpoint wall time with the interpreted step
-    /// machine.
+    /// Best-of-`repeats` fixpoint wall time of the reference oracle.
     pub interpreted_secs: f64,
-    /// `interpreted_secs / compiled_secs` — how much compilation buys.
+    /// `interpreted_secs / compiled_secs` — what the pipeline buys.
     pub speedup: f64,
     /// Facts derived by the fixpoint (identical across modes).
     pub facts_derived: usize,
     /// Semi-naive rounds across strata (identical across modes).
     pub rounds: usize,
-    /// Whether the compiled and interpreted runs produced identical
+    /// Whether the production and oracle runs produced identical
     /// databases (every relation, every tuple).
     pub outputs_match: bool,
-    /// True when compilation made the run slower than the
-    /// [`REGRESSION_BAND`] noise margin allows.
+    /// True when production ran slower than the oracle by more than the
+    /// [`REGRESSION_BAND`] noise margin.
     pub regression: bool,
 }
 
@@ -125,8 +123,8 @@ fn programs() -> [(&'static str, &'static str, Option<f64>); 3] {
     ]
 }
 
-/// Runs every bundled program with compilation on and off (planning on in
-/// both modes) at `cfg.threads`, returning one row per program.
+/// Runs every bundled program on the production pipeline and on the
+/// oracle at `cfg.threads`, returning one row per program.
 pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
     let out = generate(&CompanyGraphConfig {
         persons: cfg.persons,
@@ -141,10 +139,9 @@ pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
         let program = Program::parse(src).expect("bundled program parses");
         let mut compiled = Engine::new(&program).expect("bundled program compiles");
         compiled.options_mut().threads = cfg.threads;
-        compiled.options_mut().compile = true;
         let mut interpreted = Engine::new(&program).expect("bundled program compiles");
         interpreted.options_mut().threads = cfg.threads;
-        interpreted.options_mut().compile = false;
+        interpreted.options_mut().oracle = true;
 
         let (compiled_secs, interpreted_secs, stats, db_c, db_i) =
             timed_pair(&compiled, &interpreted, &g, threshold, cfg.repeats);
@@ -498,8 +495,7 @@ mod tests {
         let bad = good.replacen("\"regression\": false", "\"regression\": true", 1);
         assert!(validate_compile_json(&bad).is_err());
         // So is a *consistent* regression (speedup below 1.0, flagged):
-        // unlike BENCH_datalog.json, a regressed compiled row does not
-        // merely warn — the document is rejected.
+        // the document is rejected, not merely warned about.
         let mut regressed = sample_programs();
         regressed[0].compiled_secs = 2.0;
         regressed[0].speedup = 0.5;

@@ -1,15 +1,20 @@
-//! Compiled-execution on/off differential tests over the bundled paper
+//! Production-vs-oracle differential tests over the bundled paper
 //! programs.
 //!
-//! The closure-chain compiler (`datalog::eval::compile`) promises the same
-//! contract the cost planner does, one level deeper: with compilation
-//! enabled or disabled, at any thread count, the complete database image —
-//! every relation, every row id, every provenance line, every invented
-//! Skolem OID — must be byte-identical. These tests run all six bundled
-//! Vadalog programs on the paper's figure graphs (and a generated company
-//! graph for the recursive workloads) under
-//! `{compile on, compile off} × {threads 1, 2, 8}` and compare all six
-//! images against the compiled sequential reference.
+//! The production pipeline (cost planning, closure chains, frozen
+//! columnar/CSR images, batch tier) promises a database *byte-identical*
+//! to the reference oracle's (textual literal order, step machine —
+//! `EngineOptions::oracle`): every relation, every row id, every
+//! provenance line, every invented Skolem OID. These tests run all six
+//! bundled Vadalog programs on the paper's figure graphs (and a generated
+//! company graph for the recursive workloads), with provenance on (tuple
+//! closures everywhere) and off (batch tier where it is ready), and
+//! compare production at threads 1/2/8 against the oracle at threads 1.
+//!
+//! The golden suite (`tests/golden`) freezes `@output` semantics; this
+//! suite freezes something stronger — planner and executors must be
+//! invisible in the bytes of the database, not just in the output
+//! relation.
 
 use datalog::{Const, Database, Engine, EngineOptions, FunctionRegistry, Program};
 use gen::company::{generate, CompanyGraphConfig};
@@ -47,7 +52,7 @@ fn full_snapshot(db: &Database) -> Vec<String> {
 
 /// Builds the engine for one configuration. The partner program needs its
 /// external `#linkprob` function; other programs take an empty registry.
-fn engine_for(src: &str, compile: bool, threads: usize) -> Engine {
+fn engine_for(src: &str, oracle: bool, provenance: bool, threads: usize) -> Engine {
     let program = Program::parse(src).expect("bundled program parses");
     let mut registry = FunctionRegistry::default();
     if src.contains("#linkprob") {
@@ -63,33 +68,37 @@ fn engine_for(src: &str, compile: bool, threads: usize) -> Engine {
         });
     }
     let options = EngineOptions {
-        compile,
+        oracle,
         threads,
-        provenance: true,
+        provenance,
         ..EngineOptions::default()
     };
     Engine::with(&program, registry, options).expect("bundled program compiles")
 }
 
-/// Runs `src` at every compile/thread combination and asserts all six full
-/// database images are identical to the compiled sequential reference.
-fn assert_compile_invisible(name: &str, src: &str, setup: &dyn Fn(&mut Database)) {
-    let run = |compile: bool, threads: usize| -> Vec<String> {
-        let mut db = Database::new();
-        setup(&mut db);
-        engine_for(src, compile, threads)
-            .run(&mut db)
-            .expect("fixpoint");
-        full_snapshot(&db)
-    };
-    let reference = run(true, 1);
-    assert!(!reference.is_empty(), "{name}: reference derived nothing");
-    for (compile, threads) in [(false, 1), (true, 2), (false, 2), (true, 8), (false, 8)] {
-        let got = run(compile, threads);
-        assert_eq!(
-            got, reference,
-            "{name}: compile={compile} threads={threads} diverged from compile=true threads=1"
-        );
+/// Runs `src` on the oracle (threads 1) and on production at threads
+/// 1/2/8, with and without provenance, and asserts every production image
+/// equals the oracle's.
+fn assert_executors_agree(name: &str, src: &str, setup: &dyn Fn(&mut Database)) {
+    for provenance in [true, false] {
+        let run = |oracle: bool, threads: usize| -> Vec<String> {
+            let mut db = Database::new();
+            setup(&mut db);
+            engine_for(src, oracle, provenance, threads)
+                .run(&mut db)
+                .expect("fixpoint");
+            full_snapshot(&db)
+        };
+        let reference = run(true, 1);
+        assert!(!reference.is_empty(), "{name}: oracle derived nothing");
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                run(false, threads),
+                reference,
+                "{name}: production at threads={threads} provenance={provenance} \
+                 diverged from the oracle"
+            );
+        }
     }
 }
 
@@ -107,21 +116,23 @@ fn add_family(f: &NamedGraph, db: &mut Database, members: &[&str]) {
 
 /// A generated company graph big enough to cross the parallel scheduler's
 /// sequential cutoff, so the multi-thread legs genuinely run chunked and
-/// the compiled chunks interleave with splice-ordered merging.
+/// the compiled chunks interleave with splice-ordered merging; its tens
+/// of thousands of acc_own facts are also the regime where the planner
+/// reorders differently per round.
 fn generated_graph() -> CompanyGraph {
     let out = generate(&CompanyGraphConfig {
-        persons: 400,
-        companies: 200,
-        seed: 0xC0DE,
+        persons: 600,
+        companies: 300,
+        seed: 0x9E37,
         ..Default::default()
     });
     CompanyGraph::new(out.graph)
 }
 
 #[test]
-fn control_is_compile_invariant_on_paper_graphs() {
+fn control_is_executor_invariant_on_paper_graphs() {
     for (tag, f) in [("figure1", figure1()), ("figure2", figure2())] {
-        assert_compile_invisible(
+        assert_executors_agree(
             &format!("control/{tag}"),
             CONTROL_PROGRAM,
             &|db: &mut Database| load_facts(&f.graph, db),
@@ -130,9 +141,9 @@ fn control_is_compile_invariant_on_paper_graphs() {
 }
 
 #[test]
-fn closelink_is_compile_invariant_on_paper_graphs() {
+fn closelink_is_executor_invariant_on_paper_graphs() {
     for (tag, f) in [("figure1", figure1()), ("figure2", figure2())] {
-        assert_compile_invisible(
+        assert_executors_agree(
             &format!("closelink/{tag}"),
             CLOSELINK_PROGRAM,
             &|db: &mut Database| {
@@ -144,11 +155,11 @@ fn closelink_is_compile_invariant_on_paper_graphs() {
 }
 
 #[test]
-fn family_programs_are_compile_invariant() {
+fn family_programs_are_executor_invariant() {
     let control_src = format!("{CONTROL_PROGRAM}\n{FAMILY_CONTROL_PROGRAM}");
     let closelink_src = format!("{CLOSELINK_PROGRAM}\n{FAMILY_CLOSELINK_PROGRAM}");
     for (tag, f) in [("figure1", figure1()), ("figure2", figure2())] {
-        assert_compile_invisible(
+        assert_executors_agree(
             &format!("family_control/{tag}"),
             &control_src,
             &|db: &mut Database| {
@@ -156,7 +167,7 @@ fn family_programs_are_compile_invariant() {
                 add_family(&f, db, &["P1", "P2"]);
             },
         );
-        assert_compile_invisible(
+        assert_executors_agree(
             &format!("family_closelink/{tag}"),
             &closelink_src,
             &|db: &mut Database| {
@@ -169,12 +180,12 @@ fn family_programs_are_compile_invariant() {
 }
 
 #[test]
-fn partner_is_compile_invariant() {
+fn partner_is_executor_invariant() {
     // External function calls run inside compiled Let stages; the
     // generated graph carries person attributes and exercises them at
-    // volume.
+    // volume, and its size puts the planner on the quadratic self-join.
     let g = generated_graph();
-    assert_compile_invisible(
+    assert_executors_agree(
         "partner/generated",
         PARTNER_PROGRAM,
         &|db: &mut Database| load_facts(&g, db),
@@ -182,11 +193,12 @@ fn partner_is_compile_invariant() {
 }
 
 #[test]
-fn generic_pipeline_is_compile_invariant() {
+fn generic_pipeline_is_executor_invariant() {
     // Skolem invention threads through shared state: compiled emit stages
-    // must invent OIDs in exactly the interpreted order.
+    // must invent OIDs in exactly the oracle's order, whatever the planner
+    // does.
     for (tag, f) in [("figure1", figure1()), ("figure2", figure2())] {
-        assert_compile_invisible(
+        assert_executors_agree(
             &format!("generic/{tag}"),
             GENERIC_PIPELINE_PROGRAM,
             &|db: &mut Database| load_facts(&f.graph, db),
@@ -195,18 +207,18 @@ fn generic_pipeline_is_compile_invariant() {
 }
 
 #[test]
-fn control_and_closelink_are_compile_invariant_at_scale() {
+fn control_and_closelink_are_executor_invariant_at_scale() {
     // Tens of thousands of acc_own facts: the regime where frozen columnar
     // relations, CSR probes and compiled aggregate stages all carry real
     // traffic — and where epsilon-guarded msum convergence is most
     // sensitive to any reordering.
     let g = generated_graph();
-    assert_compile_invisible(
+    assert_executors_agree(
         "control/generated",
         CONTROL_PROGRAM,
         &|db: &mut Database| load_facts(&g, db),
     );
-    assert_compile_invisible(
+    assert_executors_agree(
         "closelink/generated",
         CLOSELINK_PROGRAM,
         &|db: &mut Database| {

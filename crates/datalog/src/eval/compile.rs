@@ -129,10 +129,9 @@ pub(crate) fn eval_compiled_chunk(
     relations: &[Relation],
     delta_start: u32,
     driver: Option<&[u32]>,
-    batch_on: bool,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
-    if batch_on && !ctx.provenance {
+    if !ctx.provenance {
         if let Some(bp) = &cr.batch {
             if batch::ready(bp, relations) {
                 return batch::eval_batch(bp, relations, driver, ctx);

@@ -20,8 +20,8 @@
 //! chosen plans actually probe are registered. Each round's derivations
 //! are inserted in canonical `(pred, tuple, prov)` order — the derived
 //! *set* of a round does not depend on join order, so canonical insertion
-//! makes row ids and provenance byte-identical whether planning is on
-//! ([`EngineOptions::plan`]) or off.
+//! makes row ids and provenance byte-identical between the planned
+//! production executors and the unplanned reference oracle.
 //!
 //! Rounds can evaluate on [`par`] worker threads ([`EngineOptions::threads`]):
 //! rules whose bodies touch no shared evaluation state (no aggregates, no
@@ -38,7 +38,6 @@ pub(crate) mod kernels;
 pub(crate) mod plan;
 pub(crate) mod resolve;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::analysis::{adorn, analyze_with, AnalysisConfig};
@@ -54,42 +53,6 @@ use compile::{compile_stratum, eval_compiled_chunk, CompiledRule, CompiledRulePl
 use exec::{driver_rows, eval_rule_chunk, Derived, RunCtx, Workspace};
 use plan::{plan_stratum, RulePlan, RulePlans, Step, StratumStats};
 use resolve::{resolve_rules, CompiledProgram, RLiteral, RRule};
-
-/// Process-wide default for [`EngineOptions::compile`]. Engines are
-/// constructed deep inside the core/serve layers, so the CLI escape hatch
-/// (`--no-compile`) flips this global instead of threading a flag through
-/// every constructor — the same idiom as [`par::set_threads`].
-static COMPILE_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for compiled plan execution. Engines
-/// built afterwards (via [`EngineOptions::default`]) inherit the value;
-/// explicit `options.compile` assignments still win.
-pub fn set_compile_default(on: bool) {
-    COMPILE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide compiled-execution default.
-pub fn compile_default() -> bool {
-    COMPILE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for [`EngineOptions::shards`], the same idiom as
-/// [`set_compile_default`]: the CLI's `--shards` flag flips this global so
-/// every engine constructed deep inside the core/serve layers inherits the
-/// shard count without threading a parameter through each constructor.
-static SHARDS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default shard count (0 and 1 both mean
-/// unsharded). Engines built afterwards via [`EngineOptions::default`]
-/// inherit it; explicit `options.shards` assignments still win.
-pub fn set_shards_default(n: usize) {
-    SHARDS_DEFAULT.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide shard-count default.
-pub fn shards_default() -> usize {
-    SHARDS_DEFAULT.load(Ordering::Relaxed).max(1)
-}
 
 /// Tunable evaluation options.
 #[derive(Debug, Clone)]
@@ -119,46 +82,20 @@ pub struct EngineOptions {
     /// path. The result is byte-identical for every value: parallel rounds
     /// splice their per-chunk outputs back in sequential order.
     pub threads: usize,
-    /// Cost-based join planning: reorder rule bodies by estimated
-    /// selectivity and drive semi-naive rounds from the delta atom. The
-    /// result — row ids, provenance, everything — is byte-identical with
-    /// planning on or off; this switch exists for benchmarking and
-    /// differential testing.
-    pub plan: bool,
-    /// Compiled plan execution: lower each planned rule into a chain of
-    /// specialized closures per stratum ([`compile`]) and freeze stable
-    /// relations to the columnar/CSR layout, so the fixpoint inner loop
-    /// skips per-tuple step interpretation. Byte-identical to interpreted
-    /// execution — the switch exists for benchmarking, differential
-    /// testing and debugging (`--no-compile`). Defaults to the
-    /// process-wide value set by [`set_compile_default`] (true).
-    pub compile: bool,
-    /// Batch-at-a-time execution tier on top of compiled plans: naive
-    /// plans whose inputs are all frozen [`Columnar`](crate::db) images
-    /// run scan/filter/probe/compare over column slices in fixed-width
-    /// batches with selection vectors ([`batch`](compile) lowering)
-    /// instead of materializing tuples, falling back to the tuple
-    /// closures for delta rounds, provenance-carrying runs, aggregates
-    /// and anything else outside the batch subset. Byte-identical to
-    /// tuple execution — the switch exists for differential testing and
-    /// benchmarking. Ignored when `compile` is off.
-    pub batch: bool,
     /// Predicates the cost planner should assume are small before any
     /// statistics exist — the demand (`magic_*`) relations of a
     /// goal-directed rewrite, whose extent is bounded by the query's
     /// bindings rather than the database. Set by [`Engine::query`];
     /// harmless (and useless) for ordinary programs.
     pub demand_hints: Vec<String>,
-    /// Logical EDB shards for round partitioning. With `shards > 1`, a
-    /// chunkable rule's candidate rows are bucketed by hash of the driving
-    /// row's first column (its node) instead of split contiguously, so
-    /// each shard's fixpoint work touches only its own partition of
-    /// `own`/`person`/`company`. Every shard's derivations are merged back
-    /// through the canonical per-round collapse and sort — the delta
-    /// exchange at round boundaries — which makes the result byte-identical
-    /// to `shards = 1` for every shard count (and every thread count).
-    /// Defaults to the process-wide value set by [`set_shards_default`] (1).
-    pub shards: usize,
+    /// Evaluate with the reference oracle instead of the production
+    /// pipeline: rule bodies in textual literal order, run by the
+    /// [`exec`] step machine over the row store — no cost planning, no
+    /// closure chains, no frozen images, no batches. The differential
+    /// suites and `compile_bench` compare production against it; nothing
+    /// else sets it. Byte-identical to production by contract.
+    #[doc(hidden)]
+    pub oracle: bool,
 }
 
 impl Default for EngineOptions {
@@ -171,11 +108,8 @@ impl Default for EngineOptions {
             apply_post: true,
             analysis: AnalysisConfig::default(),
             threads: 0,
-            plan: true,
-            compile: compile_default(),
-            batch: true,
             demand_hints: Vec::new(),
-            shards: shards_default(),
+            oracle: false,
         }
     }
 }
@@ -286,8 +220,7 @@ impl Engine {
     /// per stratum and rule, the literal order, probe keys and estimated
     /// cardinalities. Estimates reflect the database as given (pre-fixpoint
     /// sizes); in-stratum derived predicates start at their current size.
-    /// Honors [`EngineOptions::plan`], so the report with planning disabled
-    /// shows the identity plans.
+    /// Under the reference oracle the report shows the identity plans.
     pub fn plan_report(&self, db: &Database) -> Result<String> {
         use std::fmt::Write as _;
         // Resolution interns predicates and constants, so work on a clone.
@@ -297,16 +230,16 @@ impl Engine {
         let _ = writeln!(
             out,
             "execution: {} plans",
-            if self.options.compile {
-                "compiled (closure-chain)"
-            } else {
+            if self.options.oracle {
                 "interpreted"
+            } else {
+                "compiled (closure-chain)"
             }
         );
         for (si, stratum) in self.compiled.strata.iter().enumerate() {
             let _ = writeln!(out, "stratum {si}:");
             let stats = StratumStats::collect(&rules, stratum, &db.relations);
-            let plans = plan_stratum(&rules, stratum, &stats, self.options.plan);
+            let plans = plan_stratum(&rules, stratum, &stats, !self.options.oracle);
             // In-stratum predicates are never frozen mid-fixpoint, so a
             // rule reading one can never take the batched path at run
             // time, however its plan lowers.
@@ -323,15 +256,12 @@ impl Engine {
                     }
                     _ => false,
                 });
-                // The executor each round would use under the current
-                // options: batched rules still fall back to tuple chains
-                // for delta rounds (the delta side is never frozen).
-                let executor = if !self.options.compile {
+                // The executor each round would use: batched rules still
+                // fall back to tuple chains for delta rounds (the delta
+                // side is never frozen).
+                let executor = if self.options.oracle {
                     "interpreted"
-                } else if !(self.options.batch
-                    && !self.options.provenance
-                    && batch::batch_eligible(&rules[ri], &rp.naive))
-                {
+                } else if self.options.provenance || !batch::batch_eligible(&rules[ri], &rp.naive) {
                     "tuple"
                 } else if reads_stratum {
                     "tuple (batch-eligible, but recursive inputs stay unfrozen)"
@@ -595,22 +525,21 @@ pub(crate) fn run_stratum(
         // evaluation order only — the canonical sort below makes any
         // order produce the same database — so replanning is free of
         // output drift, and `register_index` is a no-op for masks
-        // already present. Strata of identity plans (planner disabled,
-        // or every rule order-sensitive) skip the per-round stats pass.
+        // already present. Strata of identity plans (the oracle, or
+        // every rule order-sensitive) skip the per-round stats pass.
         // Stats are scoped to reorderable rules' predicates and cached
         // by row count, so each round only re-samples relations that
         // both grew and feed a cost-planned join.
         let mut stats_cache = crate::fx::FxHashMap::default();
-        let enable = options.plan;
+        let production = !options.oracle;
         let sample_cap = if demand.is_empty() {
             plan::DISTINCT_SAMPLE
         } else {
             plan::DEMAND_SAMPLE
         };
-        let compile_on = options.compile;
         let stratum_preds_ref = &stratum_preds;
         let mut plan_round = |db: &mut Database| {
-            let mut stratum_stats = if enable {
+            let mut stratum_stats = if production {
                 StratumStats::collect_reorderable(
                     rules,
                     stratum,
@@ -622,7 +551,7 @@ pub(crate) fn run_stratum(
                 StratumStats::default()
             };
             stratum_stats.demand = demand.clone();
-            let plans = plan_stratum(rules, stratum, &stratum_stats, enable);
+            let plans = plan_stratum(rules, stratum, &stratum_stats, production);
             // Relations *stable for this stratum* — no stratum rule derives
             // into them, so the round loop's inserts cannot invalidate a
             // frozen image mid-stratum — are promoted to the columnar
@@ -635,7 +564,7 @@ pub(crate) fn run_stratum(
                 for p in std::iter::once(&rp.naive).chain(rp.delta.iter()) {
                     for step in &p.steps {
                         if let Step::Atom(a) = step {
-                            let stable = compile_on && !stratum_preds_ref.contains(&a.pred);
+                            let stable = production && !stratum_preds_ref.contains(&a.pred);
                             if stable {
                                 let masks = freeze.entry(a.pred).or_default();
                                 if a.mask != 0 && !a.full_key() {
@@ -657,11 +586,7 @@ pub(crate) fn run_stratum(
             for (pred, masks) in &freeze {
                 db.relation_mut(*pred).freeze_columnar(masks);
             }
-            let compiled = if compile_on {
-                Some(compile_stratum(rules, &plans))
-            } else {
-                None
-            };
+            let compiled = production.then(|| compile_stratum(rules, &plans));
             (plans, compiled)
         };
         let (mut plans, mut compiled) = plan_round(db);
@@ -766,8 +691,6 @@ pub(crate) fn run_stratum(
                     relations,
                     &items,
                     threads,
-                    options.shards.max(1),
-                    options.batch,
                     &mut ctx,
                 )?;
             }
@@ -857,20 +780,6 @@ pub(crate) fn run_stratum(
 /// way.
 const PAR_MIN_DRIVER_ROWS: usize = 512;
 
-/// Shard of a constant: its [`FxHasher`](crate::fx::FxHasher) hash reduced
-/// modulo the shard count. Workers cannot resolve symbols mid-round (the
-/// symbol table is mutably borrowed by the run context), so eval-side
-/// bucketing hashes the interned [`Const`] — a different hash domain from
-/// the string-keyed partitioning of `store::ShardedDatabase`, which is
-/// fine: byte-identity never depends on *which* shard a row lands in, only
-/// on the canonical merge.
-pub fn shard_of_const(c: &Const, shards: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = crate::fx::FxHasher::default();
-    c.hash(&mut h);
-    (h.finish() as usize) % shards.max(1)
-}
-
 /// Evaluates one round's work items, parallelizing the chunkable ones.
 ///
 /// An item is chunkable when its rule is `par_full` — the body touches no
@@ -887,16 +796,6 @@ pub fn shard_of_const(c: &Const, shards: usize) -> usize {
 /// Returns `true` when the whole round ran sequentially against the real
 /// context — the caller can then skip its duplicate-collapse pass for
 /// provenance-free runs, since sequential emission already dedups.
-///
-/// With `shards > 1` the round runs in *shard mode*: a chunkable item's
-/// driver rows are bucketed by [`shard_of_const`] of the driving row's
-/// first column instead of split contiguously, one subtask per non-empty
-/// (item, shard) bucket. Shard mode always takes the parallel path — even
-/// below [`PAR_MIN_DRIVER_ROWS`] or at one thread — so the partitioned
-/// execution is actually exercised, and always reports `false` so the
-/// caller's collapse + canonical sort merges the shard outputs back into
-/// the byte-identical single-shard order.
-#[allow(clippy::too_many_arguments)]
 fn eval_round(
     rules: &[RRule],
     plans: &[Option<RulePlans>],
@@ -904,8 +803,6 @@ fn eval_round(
     relations: &[Relation],
     items: &[(usize, Option<(usize, u32)>)],
     threads: usize,
-    shards: usize,
-    batch: bool,
     ctx: &mut RunCtx<'_>,
 ) -> Result<bool> {
     // The plan for one work item: the naive plan on round 0, the matching
@@ -924,7 +821,7 @@ fn eval_round(
             }
         }
     };
-    // The compiled twin of `plan_for`, when compiled execution is on.
+    // The compiled twin of `plan_for`; `None` under the oracle.
     let compiled_for = |ri: usize, delta: Option<(usize, u32)>| -> Option<&CompiledRule> {
         let cp = compiled?[ri].as_ref().expect("stratum rules are compiled");
         Some(match delta {
@@ -939,22 +836,18 @@ fn eval_round(
             }
         })
     };
-    // One work item (optionally chunk-restricted), through whichever
-    // executor is active — both enumerate identically.
+    // One work item (optionally chunk-restricted): production runs the
+    // compiled rule, the oracle the step machine — both enumerate
+    // identically.
     let run_one = |ri: usize,
                    delta: Option<(usize, u32)>,
                    driver: Option<&[u32]>,
                    ctx: &mut RunCtx<'_>|
      -> Result<()> {
         match compiled_for(ri, delta) {
-            Some(cr) => eval_compiled_chunk(
-                cr,
-                relations,
-                delta.map_or(0, |(_, s)| s),
-                driver,
-                batch,
-                ctx,
-            ),
+            Some(cr) => {
+                eval_compiled_chunk(cr, relations, delta.map_or(0, |(_, s)| s), driver, ctx)
+            }
             None => eval_rule_chunk(
                 &rules[ri],
                 plan_for(ri, delta),
@@ -971,8 +864,7 @@ fn eval_round(
         }
         Ok(())
     };
-    let shard_mode = shards > 1;
-    if threads <= 1 && !shard_mode {
+    if threads <= 1 {
         run_seq(ctx)?;
         return Ok(true);
     }
@@ -991,58 +883,21 @@ fn eval_round(
         }
         drivers.push(rows);
     }
-    if total < PAR_MIN_DRIVER_ROWS && !shard_mode {
+    if total < PAR_MIN_DRIVER_ROWS {
         run_seq(ctx)?;
         return Ok(true);
     }
-    // In shard mode each chunkable item's rows are re-bucketed by the
-    // shard of the driving row's first column, so a subtask is exactly one
-    // shard's partition of one item's work. The buckets own their row
-    // lists; `drivers` keeps marking which items are chunkable.
-    let sharded: Vec<(usize, Vec<u32>)> = if shard_mode {
-        let mut buckets: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (idx, rows) in drivers.iter().enumerate() {
-            let Some(rows) = rows else { continue };
-            // The driving relation is the plan's leading atom — the same
-            // one `driver_rows` enumerated.
-            let Some(Step::Atom(a)) = plan_for(items[idx].0, items[idx].1).steps.first() else {
-                unreachable!("chunkable items drive from a leading atom");
-            };
-            let rel = &relations[a.pred as usize];
-            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            for &r in rows {
-                let row = rel.row(r);
-                let s = row.first().map_or(0, |c| shard_of_const(c, shards));
-                by_shard[s].push(r);
-            }
-            for b in by_shard {
-                if !b.is_empty() {
-                    buckets.push((idx, b));
-                }
-            }
-        }
-        buckets
-    } else {
-        Vec::new()
-    };
     // Subtasks in (item, chunk) order; a few chunks per worker so a skewed
-    // chunk cannot serialize the round. Shard mode instead emits one
-    // subtask per non-empty (item, shard) bucket.
-    let chunk = (total / (threads.max(1) * 4)).max(PAR_MIN_DRIVER_ROWS / 4);
+    // chunk cannot serialize the round.
+    let chunk = (total / (threads * 4)).max(PAR_MIN_DRIVER_ROWS / 4);
     let mut subtasks: Vec<(usize, &[u32])> = Vec::new();
-    if shard_mode {
-        for (idx, rows) in &sharded {
-            subtasks.push((*idx, &rows[..]));
-        }
-    } else {
-        for (idx, rows) in drivers.iter().enumerate() {
-            if let Some(rows) = rows {
-                let mut s = 0;
-                while s < rows.len() {
-                    let e = (s + chunk).min(rows.len());
-                    subtasks.push((idx, &rows[s..e]));
-                    s = e;
-                }
+    for (idx, rows) in drivers.iter().enumerate() {
+        if let Some(rows) = rows {
+            let mut s = 0;
+            while s < rows.len() {
+                let e = (s + chunk).min(rows.len());
+                subtasks.push((idx, &rows[s..e]));
+                s = e;
             }
         }
     }

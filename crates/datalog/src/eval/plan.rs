@@ -25,7 +25,7 @@
 //! *identity plan* (body order as written, masks exactly as the original
 //! bound-position analysis computed them). Together with the engine's
 //! canonical per-round derivation ordering this makes the planner
-//! byte-identical to planning disabled: the set of body matches of a
+//! byte-identical to the unplanned oracle: the set of body matches of a
 //! reorderable rule is order-independent, and everything order-sensitive is
 //! never reordered.
 //!
@@ -116,8 +116,8 @@ pub(crate) struct RulePlan {
     pub steps: Vec<Step>,
     /// Number of positive literals (provenance support slots).
     pub n_support: usize,
-    /// False when this is the identity plan (planning disabled, or the rule
-    /// is order-sensitive).
+    /// False when this is the identity plan (the oracle, or the rule is
+    /// order-sensitive).
     pub planned: bool,
 }
 
@@ -499,7 +499,7 @@ fn build_plan(rule: &RRule, order: &[usize], stats: &StratumStats, planned: bool
 /// A reordered plan is adopted only when its estimated cost beats the
 /// textual order by this factor. Cardinality estimates carry real noise
 /// (sampled distincts, unmodelled filter selectivity); near-ties go to the
-/// textual order, which is what the planner-off engine executes — so the
+/// textual order, which is what the oracle executes — so the
 /// planner can only diverge from the baseline where the model predicts a
 /// clear win.
 const REORDER_MARGIN: f64 = 2.0;

@@ -115,8 +115,9 @@ fn fact_sets(db: &Database) -> Vec<(String, Vec<String>)> {
 
 fn run(src: &str, seed: u64, plan: bool) -> Vec<(String, Vec<String>)> {
     let program = Program::parse(src).expect("template program parses");
+    // The oracle is the engine that does not plan.
     let options = EngineOptions {
-        plan,
+        oracle: !plan,
         ..EngineOptions::default()
     };
     let engine = Engine::with(&program, Default::default(), options).expect("compiles");
