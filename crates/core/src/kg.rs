@@ -18,7 +18,7 @@ use pgraph::NodeId;
 
 use self::error_free::sym_pair;
 use crate::augment::{augment, augment_delta, AugmentOptions, AugmentStats, CandidatePredicate};
-use crate::mapping::{load_facts, materialize_links, node_of};
+use crate::mapping::{load_for, materialize_links, node_of, node_symbol};
 use crate::model::CompanyGraph;
 use crate::programs::{CLOSELINK_PROGRAM, CONTROL_PROGRAM};
 
@@ -179,21 +179,23 @@ impl KnowledgeGraph {
         n
     }
 
-    fn engine(&self, src: &str) -> Engine {
+    /// The engine of a bundled program and a database holding the source
+    /// relations its bodies read.
+    fn prepare(&self, src: &str) -> (Engine, Database) {
         let program = Program::parse(src).expect("bundled programs are valid");
         let opts = EngineOptions {
             provenance: self.provenance,
             ..Default::default()
         };
-        Engine::with(&program, FunctionRegistry::default(), opts).expect("bundled programs compile")
+        let engine = Engine::with(&program, FunctionRegistry::default(), opts)
+            .expect("bundled programs compile");
+        (engine, load_for(&self.graph, &program))
     }
 
     /// Derives company control (Algorithm 5) and materializes `Control`
     /// edges. Returns the number of new edges.
     pub fn derive_control(&mut self) -> usize {
-        let engine = self.engine(CONTROL_PROGRAM);
-        let mut db = Database::new();
-        load_facts(&self.graph, &mut db);
+        let (engine, mut db) = self.prepare(CONTROL_PROGRAM);
         engine.run(&mut db).expect("fixpoint");
         let added = materialize_links(&mut self.graph, &db, "control", CONTROL_LINK);
         self.control_db = Some(db);
@@ -203,9 +205,7 @@ impl KnowledgeGraph {
     /// Derives close links (Algorithm 6) at threshold `t` and materializes
     /// `CloseLink` edges. Returns the number of new edges.
     pub fn derive_close_links(&mut self, t: f64) -> usize {
-        let engine = self.engine(CLOSELINK_PROGRAM);
-        let mut db = Database::new();
-        load_facts(&self.graph, &mut db);
+        let (engine, mut db) = self.prepare(CLOSELINK_PROGRAM);
         db.assert_fact("th", &[datalog::Const::float(t)])
             .expect("arity");
         engine.run(&mut db).expect("fixpoint");
@@ -232,8 +232,7 @@ impl KnowledgeGraph {
             ));
         }
         let control = Program::parse(CONTROL_PROGRAM).expect("bundled programs are valid");
-        let mut db = Database::new();
-        load_facts(&self.graph, &mut db);
+        let db = load_for(&self.graph, &control);
         let control_session = IncrementalEngine::new(&control, db)?;
         let added_control = materialize_links(
             &mut self.graph,
@@ -243,8 +242,7 @@ impl KnowledgeGraph {
         );
 
         let closelink = Program::parse(CLOSELINK_PROGRAM).expect("bundled programs are valid");
-        let mut db = Database::new();
-        load_facts(&self.graph, &mut db);
+        let mut db = load_for(&self.graph, &closelink);
         db.assert_fact("th", &[Const::float(t)]).expect("arity");
         let closelink_session = IncrementalEngine::new(&closelink, db)?;
         let added_close = materialize_links(
@@ -407,14 +405,14 @@ fn push_ownership_update(
 ) -> Result<ChangeSet, DatalogError> {
     let mut update = Update::default();
     for &(o, c, w) in del {
-        let os = session.sym(&format!("n{}", o.index()));
-        let cs = session.sym(&format!("n{}", c.index()));
+        let os = session.sym(&node_symbol(o));
+        let cs = session.sym(&node_symbol(c));
         update
             .delete
             .push(("own".to_owned(), vec![os, cs, Const::float(w)]));
     }
     for &n in touched {
-        let s = session.sym(&format!("n{}", n.index()));
+        let s = session.sym(&node_symbol(n));
         let pred = if graph.is_person(n) {
             "person"
         } else {
@@ -423,8 +421,8 @@ fn push_ownership_update(
         update.insert.push((pred.to_owned(), vec![s]));
     }
     for &(o, c, w) in ins {
-        let os = session.sym(&format!("n{}", o.index()));
-        let cs = session.sym(&format!("n{}", c.index()));
+        let os = session.sym(&node_symbol(o));
+        let cs = session.sym(&node_symbol(c));
         update
             .insert
             .push(("own".to_owned(), vec![os, cs, Const::float(w)]));

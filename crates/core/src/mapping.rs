@@ -10,87 +10,176 @@
 //! * `company_attr(id, name, address, inc_date, legal_form, sector)`;
 //! * `own(x, y, w)` — shareholding with its share fraction.
 //!
-//! Node identifiers are the stable symbols `n<index>`; [`node_of`] and
-//! [`sym_of`] convert between them and [`pgraph::NodeId`]s. The *output
-//! mapping* reads derived link predicates (e.g. `control`) back into typed
-//! edges of the property graph.
+//! It is demand-driven: [`load_predicates`] loads the subset of these five
+//! the caller names — the facade and the program runners name the
+//! predicates their program's bodies read — and [`load_facts`] is the same
+//! loader asked for all of them.
+//!
+//! Node identifiers are the stable symbols `n<index>` ([`node_symbol`]);
+//! [`node_of`] and [`sym_of`] convert between them and
+//! [`pgraph::NodeId`]s. **The interning order is a contract**: every
+//! person's symbol in [`CompanyGraph::persons`] order, then every
+//! company's, whatever is loaded, with a node's attribute strings right
+//! after its symbol when its `*_attr` relation is loaded. Rounds sort
+//! `Const::Sym` by id and monotonic sums add contributors in that order,
+//! so a partial load — a subsequence of the full one — evaluates
+//! isomorphically to a full load, and a full load reproduces symbol ids,
+//! predicate ids and row order of every snapshot and WAL written before.
+//!
+//! The *output mapping* reads derived link predicates (e.g. `control`)
+//! back into typed edges of the property graph.
 
-use datalog::{Const, Database};
+use datalog::value::Tuple;
+use datalog::{Const, Database, Program};
 use pgraph::NodeId;
 
 use crate::model::CompanyGraph;
 
-/// Loads the extensional component (input mapping, Algorithm 2's source
-/// relations). Returns nothing: node symbols are derivable via [`sym_of`].
+/// The extensional predicates of the input mapping.
+pub const SOURCE_PREDICATES: [&str; 5] =
+    ["person", "person_attr", "company", "company_attr", "own"];
+
+/// Loads the whole extensional component (input mapping, Algorithm 2's
+/// source relations): [`load_predicates`] asked for every source
+/// predicate.
 pub fn load_facts(g: &CompanyGraph, db: &mut Database) {
-    let str_or = |g: &CompanyGraph, n: NodeId, key: &str| -> String {
-        g.str_prop(n, key).unwrap_or("").to_owned()
-    };
+    load_predicates(g, db, SOURCE_PREDICATES);
+}
+
+/// A fresh database holding the source relations the bodies of `program`
+/// read — all that evaluating it can observe of the graph.
+pub fn load_for(g: &CompanyGraph, program: &Program) -> Database {
+    let mut db = Database::new();
+    load_predicates(g, &mut db, program.body_predicates());
+    db
+}
+
+/// Loads the source relations named in `wanted` (names that are not
+/// [`SOURCE_PREDICATES`] are ignored, so a program's body predicates can
+/// be passed as they are). Every node symbol is interned exactly once, in
+/// the order the module doc fixes, and every mention reads it from a
+/// dense `NodeId → Const` table; each relation is appended in one
+/// [`Database::assert_facts`] call. A predicate with no rows is not
+/// created, as if its facts had been asserted one by one.
+pub fn load_predicates<'a>(
+    g: &CompanyGraph,
+    db: &mut Database,
+    wanted: impl IntoIterator<Item = &'a str>,
+) {
+    let wanted: Vec<&str> = wanted.into_iter().collect();
+    let want = |pred: &str| wanted.contains(&pred);
+    let text = |db: &mut Database, n: NodeId, key: &str| db.sym(g.str_prop(n, key).unwrap_or(""));
+    let int = |n: NodeId, key: &str| Const::Int(g.int_prop(n, key).unwrap_or(0));
+
+    let mut syms: Vec<Option<Const>> = vec![None; g.node_count()];
+    let mut person_attr: Vec<Tuple> = Vec::new();
+    let with_attrs = want("person_attr");
     for p in g.persons() {
-        let id = format!("n{}", p.index());
-        let idc = sym(db, &id);
-        db.assert_fact("person", &[idc]).expect("arity");
-        let tuple = [
-            sym(db, &id),
-            sym(db, &str_or(g, p, "name")),
-            sym(db, &str_or(g, p, "surname")),
-            Const::Int(g.int_prop(p, "birth").unwrap_or(0)),
-            sym(db, &str_or(g, p, "birth_city")),
-            sym(db, &str_or(g, p, "sex")),
-            sym(db, &str_or(g, p, "address")),
-        ];
-        db.assert_fact("person_attr", &tuple).expect("arity");
+        let id = sym_of(db, p);
+        syms[p.index()] = Some(id);
+        if with_attrs {
+            person_attr.push(Tuple::from([
+                id,
+                text(db, p, "name"),
+                text(db, p, "surname"),
+                int(p, "birth"),
+                text(db, p, "birth_city"),
+                text(db, p, "sex"),
+                text(db, p, "address"),
+            ]));
+        }
     }
+    let mut company_attr: Vec<Tuple> = Vec::new();
+    let with_attrs = want("company_attr");
     for c in g.companies() {
-        let id = format!("n{}", c.index());
-        let idc = sym(db, &id);
-        db.assert_fact("company", &[idc]).expect("arity");
-        let tuple = [
-            sym(db, &id),
-            sym(db, &str_or(g, c, "name")),
-            sym(db, &str_or(g, c, "address")),
-            Const::Int(g.int_prop(c, "inc_date").unwrap_or(0)),
-            sym(db, &str_or(g, c, "legal_form")),
-            sym(db, &str_or(g, c, "sector")),
-        ];
-        db.assert_fact("company_attr", &tuple).expect("arity");
+        let id = sym_of(db, c);
+        syms[c.index()] = Some(id);
+        if with_attrs {
+            company_attr.push(Tuple::from([
+                id,
+                text(db, c, "name"),
+                text(db, c, "address"),
+                int(c, "inc_date"),
+                text(db, c, "legal_form"),
+                text(db, c, "sector"),
+            ]));
+        }
     }
-    for e in g.share_edges() {
-        let (src, dst) = g.graph().endpoints(e);
-        let tuple = [
-            sym(db, &format!("n{}", src.index())),
-            sym(db, &format!("n{}", dst.index())),
-            Const::float(g.share(e)),
-        ];
-        db.assert_fact("own", &tuple).expect("arity");
+
+    if want("own") {
+        // An endpoint that is neither person nor company gets its symbol
+        // at this first mention.
+        for e in g.share_edges() {
+            let (src, dst) = g.graph().endpoints(e);
+            for n in [src, dst] {
+                syms[n.index()].get_or_insert_with(|| sym_of(db, n));
+            }
+        }
+    }
+
+    let node = |n: NodeId| syms[n.index()].expect("interned above");
+    if want("person") {
+        append(db, "person", g.persons().map(|p| [node(p)]));
+    }
+    append(db, "person_attr", person_attr);
+    if want("company") {
+        append(db, "company", g.companies().map(|c| [node(c)]));
+    }
+    append(db, "company_attr", company_attr);
+    if want("own") {
+        let stakes = g.share_edges().map(|e| {
+            let (src, dst) = g.graph().endpoints(e);
+            [node(src), node(dst), Const::float(g.share(e))]
+        });
+        append(db, "own", stakes);
     }
 }
 
-fn sym(db: &mut Database, s: &str) -> Const {
-    db.sym(s)
+/// One relation's rows into `db`; nothing at all when there are none.
+fn append(db: &mut Database, pred: &str, rows: impl IntoIterator<Item = impl Into<Tuple>>) {
+    let mut rows = rows.into_iter().peekable();
+    if rows.peek().is_some() {
+        db.assert_facts(pred, rows).expect("arity");
+    }
+}
+
+/// The symbol text of a node: `n<index>`.
+pub fn node_symbol(n: NodeId) -> String {
+    format!("n{}", n.index())
 }
 
 /// The symbol constant of a node (`n<index>`).
 pub fn sym_of(db: &mut Database, n: NodeId) -> Const {
-    db.sym(&format!("n{}", n.index()))
+    db.sym(&node_symbol(n))
 }
 
-/// Parses a node symbol (`n<index>`) back into a [`NodeId`].
-pub fn node_of(db: &Database, c: Const) -> Option<NodeId> {
-    let s = db.resolve(c)?;
+/// Inverse of [`node_symbol`].
+fn parse_node(s: &str) -> Option<NodeId> {
     let idx: u32 = s.strip_prefix('n')?.parse().ok()?;
     Some(NodeId(idx))
 }
 
+/// Parses a node symbol (`n<index>`) back into a [`NodeId`].
+pub fn node_of(db: &Database, c: Const) -> Option<NodeId> {
+    parse_node(db.resolve(c)?)
+}
+
 /// Reads a binary derived relation back as node pairs (output mapping,
-/// Algorithm 4): tuples whose first two terms are node symbols.
+/// Algorithm 4): tuples whose first two terms are node symbols. Each
+/// symbol is parsed once, into a reverse `sym id → NodeId` table, not
+/// once per cell.
 pub fn read_pairs(db: &Database, pred: &str) -> Vec<(NodeId, NodeId)> {
     let Some(rel) = db.relation(pred) else {
         return Vec::new();
     };
+    let nodes: Vec<Option<NodeId>> = db.symbol_table().iter().map(parse_node).collect();
+    let node = |c: Const| match c {
+        Const::Sym(s) => nodes[s as usize],
+        _ => None,
+    };
     let mut out = Vec::new();
     for row in rel.rows() {
-        if let (Some(a), Some(b)) = (node_of(db, row[0]), node_of(db, row[1])) {
+        if let (Some(a), Some(b)) = (node(row[0]), node(row[1])) {
             if a != b {
                 out.push((a, b));
             }
@@ -107,10 +196,17 @@ pub fn read_pairs(db: &Database, pred: &str) -> Vec<(NodeId, NodeId)> {
 pub fn materialize_links(g: &mut CompanyGraph, db: &Database, pred: &str, class: &str) -> usize {
     let pairs = read_pairs(db, pred);
     let mut added = 0usize;
-    for (a, b) in pairs {
-        if g.find_link(class, a, b).is_none() {
-            g.add_link(class, a, b);
-            added += 1;
+    // The pairs are sorted: one run per source, whose out-list is read
+    // once for the targets already linked. Reading it per pair is
+    // quadratic on a close-link hub, which has thousands of both.
+    for run in pairs.chunk_by(|x, y| x.0 == y.0) {
+        let a = run[0].0;
+        let linked = g.link_targets(class, a);
+        for &(_, b) in run {
+            if linked.binary_search(&b).is_err() {
+                g.graph_mut().add_edge(class, a, b);
+                added += 1;
+            }
         }
     }
     added

@@ -145,6 +145,20 @@ impl CompanyGraph {
             .find(|&e| self.g.edge_label(e) == label && self.g.endpoints(e).1 == b)
     }
 
+    /// Targets of the derived edges of `class` leaving `a`, ascending.
+    pub fn link_targets(&self, class: &str, a: NodeId) -> Vec<NodeId> {
+        let Some(label) = self.g.find_label(class) else {
+            return Vec::new();
+        };
+        let out = self.g.out_edges(a).iter();
+        let mut targets: Vec<NodeId> = out
+            .filter(|&&e| self.g.edge_label(e) == label)
+            .map(|&e| self.g.endpoints(e).1)
+            .collect();
+        targets.sort_unstable();
+        targets
+    }
+
     /// All derived edges of a class as `(src, dst)` pairs.
     pub fn links_of(&self, class: &str) -> Vec<(NodeId, NodeId)> {
         let Some(label) = self.g.find_label(class) else {

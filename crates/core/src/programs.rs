@@ -8,11 +8,11 @@
 //! 5) that 20–30 lines of Vadalog replace 1k+ lines of imperative code —
 //! these constants are those lines.
 
-use datalog::{Const, Database, DiagCode, Engine, Program};
+use datalog::{Const, DiagCode, Engine, Program};
 use pgraph::NodeId;
 
 use crate::family::FamilyDetector;
-use crate::mapping::{load_facts, read_pairs};
+use crate::mapping::{load_for, read_pairs};
 use crate::model::CompanyGraph;
 
 /// Company control (Algorithm 5): `x` controls itself; whenever the
@@ -156,8 +156,7 @@ pub const BROKEN_VARIANTS: [(&str, &str, DiagCode); 6] = [
 pub fn run_control(g: &CompanyGraph) -> Vec<(NodeId, NodeId)> {
     let program = Program::parse(CONTROL_PROGRAM).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     engine.run(&mut db).expect("fixpoint");
     read_pairs(&db, "control")
 }
@@ -167,8 +166,7 @@ pub fn run_control(g: &CompanyGraph) -> Vec<(NodeId, NodeId)> {
 pub fn run_close_links(g: &CompanyGraph, t: f64) -> Vec<(NodeId, NodeId)> {
     let program = Program::parse(CLOSELINK_PROGRAM).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     db.assert_fact("th", &[Const::float(t)]).expect("arity");
     engine.run(&mut db).expect("fixpoint");
     let mut pairs: Vec<(NodeId, NodeId)> = read_pairs(&db, "close_link")
@@ -189,8 +187,7 @@ pub fn run_family_control(
     let src = format!("{CONTROL_PROGRAM}\n{FAMILY_CONTROL_PROGRAM}");
     let program = Program::parse(&src).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     for (fid, members) in families {
         for m in members {
             let f = db.sym(fid);
@@ -231,8 +228,7 @@ pub fn run_family_close_links(
     );
     let program = Program::parse(&src).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     db.assert_fact("th", &[Const::float(t)]).expect("arity");
     for (fid, members) in families {
         for m in members {
@@ -294,8 +290,7 @@ pub fn run_person_links(g: &CompanyGraph, detector: &FamilyDetector) -> Vec<(Nod
         let p = model.link_probability(&[d_surname, d_addr, birth, d_bcity]);
         Ok(Const::float(p))
     });
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     engine.run(&mut db).expect("fixpoint");
     let mut pairs: Vec<(NodeId, NodeId)> = read_pairs(&db, "person_link")
         .into_iter()
@@ -314,8 +309,7 @@ pub fn run_person_links(g: &CompanyGraph, detector: &FamilyDetector) -> Vec<(Nod
 pub fn plan_report(src: &str, g: &CompanyGraph, threshold: Option<f64>) -> String {
     let program = Program::parse(src).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     if let Some(t) = threshold {
         db.assert_fact("th", &[Const::float(t)]).expect("arity");
     }
@@ -326,8 +320,7 @@ pub fn plan_report(src: &str, g: &CompanyGraph, threshold: Option<f64>) -> Strin
 pub fn run_generic_control(g: &CompanyGraph) -> Vec<(NodeId, NodeId)> {
     let program = Program::parse(GENERIC_PIPELINE_PROGRAM).expect("valid program");
     let engine = Engine::new(&program).expect("compiles");
-    let mut db = Database::new();
-    load_facts(g, &mut db);
+    let mut db = load_for(g, &program);
     engine.run(&mut db).expect("fixpoint");
     read_pairs(&db, "g_control")
 }

@@ -287,6 +287,19 @@ impl Program {
         parser::parse_program(src)
     }
 
+    /// Names of the predicates the rule bodies read, positively or under
+    /// negation — one item per occurrence, so names repeat. Whatever of
+    /// these no rule derives must come from the extensional component;
+    /// an input mapping needs to load nothing else.
+    pub fn body_predicates(&self) -> impl Iterator<Item = &str> {
+        self.rules.iter().flat_map(|r| {
+            r.body.iter().filter_map(|lit| match lit {
+                Literal::Atom(a) | Literal::Negated(a) => Some(a.pred.as_str()),
+                _ => None,
+            })
+        })
+    }
+
     /// Names of `@output` predicates.
     pub fn outputs(&self) -> impl Iterator<Item = &str> {
         self.directives.iter().filter_map(|d| match d {

@@ -50,11 +50,6 @@ impl SymbolTable {
         self.index.get(s).copied()
     }
 
-    /// Looks up a string without interning it.
-    pub fn get(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
-    }
-
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -474,6 +469,16 @@ impl Relation {
         self.probe(mask, key)
     }
 
+    /// Makes room for `additional` more tuples in the row store and the
+    /// dedup map, so a bulk load neither regrows nor rehashes on the way.
+    fn reserve(&mut self, additional: usize) {
+        self.tuples.reserve(additional);
+        self.seen.reserve(additional);
+        if self.track_prov {
+            self.prov.reserve(additional);
+        }
+    }
+
     /// Inserts a tuple; returns its row id and whether it was new.
     pub(crate) fn insert(&mut self, tuple: Tuple, prov: Option<ProvEntry>) -> (u32, bool) {
         if let Some(&row) = self.seen.get(&tuple) {
@@ -759,6 +764,29 @@ impl Database {
         Ok(new)
     }
 
+    /// Asserts many facts of one predicate — the bulk form of
+    /// [`Database::assert_fact`] for loaders: the name is resolved once
+    /// instead of per row, and the row store and dedup map reserve for the
+    /// iterator's lower size bound up front. Rows land in iteration order;
+    /// returns how many were new. On an arity mismatch the rows before
+    /// the offending one stay asserted, as with a loop of `assert_fact`.
+    pub fn assert_facts(
+        &mut self,
+        pred: &str,
+        rows: impl IntoIterator<Item = impl Into<Tuple>>,
+    ) -> Result<usize> {
+        let p = self.pred_id(pred);
+        let rows = rows.into_iter();
+        self.relations[p as usize].reserve(rows.size_hint().0);
+        let mut new = 0usize;
+        for row in rows {
+            let tuple: Tuple = row.into();
+            self.check_arity(p, tuple.len())?;
+            new += usize::from(self.relations[p as usize].insert(tuple, None).1);
+        }
+        Ok(new)
+    }
+
     /// Retracts a fact if present; returns true if it was removed. The
     /// relation is compacted in place (order-preserving, tombstone-free).
     pub fn retract_fact(&mut self, pred: &str, tuple: &[Const]) -> bool {
@@ -794,7 +822,7 @@ impl Database {
         };
         let mut key = Vec::with_capacity(tuple.len());
         for s in tuple {
-            match self.symbols.get(s) {
+            match self.symbols.lookup(s) {
                 Some(id) => key.push(Const::Sym(id)),
                 None => return false,
             }
@@ -989,8 +1017,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.intern("alpha"), a);
         assert_eq!(t.resolve(a), "alpha");
-        assert_eq!(t.get("beta"), Some(b));
-        assert_eq!(t.get("gamma"), None);
+        assert_eq!(t.lookup("beta"), Some(b));
+        assert_eq!(t.lookup("gamma"), None);
         assert_eq!(t.len(), 2);
     }
 

@@ -112,12 +112,14 @@ impl AggState {
                     false
                 };
                 if improved {
-                    // Recompute: safe against zeros and float drift.
-                    self.total = self
-                        .contributions
-                        .values()
-                        .flat_map(|m| m.values())
-                        .product();
+                    // Recompute: safe against zeros and float drift. In
+                    // ascending value order, not the maps': a float
+                    // product depends on its order, and bucket order is
+                    // the hasher's business, not the program's.
+                    let maps = self.contributions.values();
+                    let mut maxima: Vec<f64> = maps.flat_map(|m| m.values().copied()).collect();
+                    maxima.sort_unstable_by(f64::total_cmp);
+                    self.total = maxima.into_iter().product();
                 }
             }
             AggFunc::Max => {
@@ -287,6 +289,28 @@ mod tests {
         assert!((s.total() - 6.0).abs() < 1e-12);
         let (s, _) = store.contribute(0, &t(&[]), AggFunc::Prod, 0, &t(&[1]), 5.0, 1e-12);
         assert!((s.total() - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mprod_does_not_depend_on_arrival_or_bucket_order() {
+        // The same forty maxima arriving forwards and backwards, under
+        // two rule ids: one product, to the bit.
+        let value = |i: i64| 1.0 + 1.0 / (i as f64 + 3.0);
+        let total = |order: &mut dyn Iterator<Item = i64>| {
+            let mut store = AggStore::default();
+            let mut last = 0.0;
+            for i in order {
+                let rule = (i % 2) as u32;
+                last = store
+                    .contribute(0, &t(&[]), AggFunc::Prod, rule, &t(&[i]), value(i), 0.0)
+                    .0
+                    .total();
+            }
+            last.to_bits()
+        };
+        let sorted: f64 = (0..40).map(value).rev().product();
+        assert_eq!(total(&mut (0..40)), sorted.to_bits());
+        assert_eq!(total(&mut (0..40).rev()), sorted.to_bits());
     }
 
     #[test]

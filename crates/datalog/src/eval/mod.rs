@@ -408,16 +408,10 @@ fn goal_matches_in(db: &Database, pred: &str, goal: &Query) -> Vec<String> {
 /// Every predicate a program's rules and directives mention — the set of
 /// relations a fixpoint over the program can read or write.
 fn mentioned_preds(program: &Program) -> FxHashSet<String> {
-    use crate::ast::Literal;
-    let mut preds = FxHashSet::default();
+    let mut preds: FxHashSet<String> = program.body_predicates().map(str::to_owned).collect();
     for rule in &program.rules {
         for atom in &rule.head {
             preds.insert(atom.pred.clone());
-        }
-        for lit in &rule.body {
-            if let Literal::Atom(a) | Literal::Negated(a) = lit {
-                preds.insert(a.pred.clone());
-            }
         }
     }
     for d in &program.directives {
@@ -1386,7 +1380,7 @@ mod tests {
     impl Database {
         /// Test helper: symbol constant for an existing string.
         fn sym_of(&self, s: &str) -> Const {
-            Const::Sym(self.symbols.get(s).expect("symbol exists"))
+            Const::Sym(self.symbols.lookup(s).expect("symbol exists"))
         }
     }
 
