@@ -1,34 +1,29 @@
-//! Thread scaling of the parallel kernels (the acceptance measurement:
-//! fixpoint and SGNS must reach >= 2x at 4 threads on the Figure 4(b)
-//! superdense workload — see EXPERIMENTS.md for recorded numbers).
+//! Thread scaling of the parallel embedding kernels (random walks and
+//! SGNS training) on the Figure 4(b) superdense workload — see
+//! EXPERIMENTS.md for recorded numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use datalog::{Database, Engine, EngineOptions, Program};
 use embed::{generate_walks, train_sgns, SgnsConfig, WalkConfig};
 use gen::ba::{generate_ba, BaConfig, DensityPreset};
 use pgraph::Csr;
-use vada_link::mapping::{load_facts, sym_of};
-use vada_link::model::CompanyGraph;
 
 const NODES: usize = 2_000;
 const SEED: u64 = 0xEDB7;
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn workload() -> (CompanyGraph, Csr) {
+fn workload() -> Csr {
     let g = generate_ba(&BaConfig::with_density(
         NODES,
         DensityPreset::Superdense,
         SEED,
     ));
-    let cg = CompanyGraph::new(g);
-    let csr = Csr::from_graph(cg.graph(), "w");
-    (cg, csr)
+    Csr::from_graph(&g, "w")
 }
 
 fn bench_walks(c: &mut Criterion) {
-    let (_, csr) = workload();
+    let csr = workload();
     let mut group = c.benchmark_group("thread_scaling/walks");
     group.sample_size(10);
     for &t in &THREADS {
@@ -48,7 +43,7 @@ fn bench_walks(c: &mut Criterion) {
 }
 
 fn bench_sgns(c: &mut Criterion) {
-    let (_, csr) = workload();
+    let csr = workload();
     let walks = generate_walks(
         &csr,
         &WalkConfig {
@@ -79,36 +74,5 @@ fn bench_sgns(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fixpoint(c: &mut Criterion) {
-    let (cg, _) = workload();
-    let program = Program::parse(
-        "reach(X, Y) :- node(X), own(X, Y, _).\n\
-         reach(X, Z) :- reach(X, Y), own(Y, Z, _).",
-    )
-    .expect("valid program");
-    let mut group = c.benchmark_group("thread_scaling/fixpoint");
-    group.sample_size(10);
-    for &t in &THREADS {
-        let options = EngineOptions {
-            threads: t,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with(&program, Default::default(), options).expect("compiles");
-        group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
-            b.iter(|| {
-                let mut db = Database::new();
-                load_facts(&cg, &mut db);
-                for n in cg.graph().node_ids() {
-                    let s = sym_of(&mut db, n);
-                    db.assert_fact("node", &[s]).expect("arity");
-                }
-                engine.run(&mut db).expect("fixpoint");
-                black_box(db)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_walks, bench_sgns, bench_fixpoint);
+criterion_group!(benches, bench_walks, bench_sgns);
 criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! Reproduction driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|serve|compile|store]
+//! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|compile|store]
 //!       [--scale small|full] [--threads N] [--bench-json [PATH]]
 //! ```
+//!
+//! Any other `--exp` or `--scale` value is a usage error (exit 2).
 //!
 //! `small` (default) finishes in a few minutes; `full` pushes the sweeps
 //! to the paper's ranges (100k-person graphs, 1–500 clusters).
@@ -16,13 +18,9 @@
 //! `--exp magic` it benchmarks goal-directed point lookups vs full
 //! evaluation (`BENCH_magic.json`, schema `vadalink-bench-magic/1`, whose
 //! validator demands an integer-factor wall-clock win per lookup); with
-//! `--exp serve` it drives a live `vadalink serve` instance over TCP with
-//! a closed-loop zipfian reader workload across reader/writer mixes
-//! (`BENCH_serve.json`, schema `vadalink-bench-serve/1`: sustained qps,
-//! p50/p99 latency, epoch-swap stall); with `--exp compile` it benchmarks
-//! the production executors vs the reference oracle plus
-//! the linkage distance kernels vs their scalar references
-//! (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
+//! `--exp compile` it benchmarks the production executors vs the
+//! reference oracle plus the linkage distance kernels vs their scalar
+//! references (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
 //! `--exp store` it benchmarks the durable store — recovery time vs
 //! snapshot cadence after a simulated crash, and one large-register scale
 //! probe (1M persons at `--full`) — writing `BENCH_store.json` (schema
@@ -41,12 +39,32 @@ use bench::compile_bench::{
 use bench::experiments::*;
 use bench::incr_bench::{render_incr_json, run_incr_bench, validate_incr_json, IncrConfig};
 use bench::magic_bench::{render_magic_json, run_magic_bench, validate_magic_json, MagicConfig};
-use bench::serve_bench::{
-    render_serve_json, run_serve_bench, validate_serve_json, Mix, ServeBenchConfig, Workload,
-};
 use bench::store_bench::{
     render_store_json, run_store_bench, validate_store_json, StoreBenchConfig,
 };
+
+/// Every `--exp` value `repro` runs.
+const EXPS: [&str; 13] = [
+    "all",
+    "t1",
+    "fig4a",
+    "fig4b",
+    "fig4c",
+    "fig4d",
+    "fig4e",
+    "threads",
+    "ablations",
+    "incr",
+    "magic",
+    "compile",
+    "store",
+];
+
+/// Prints a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 struct Args {
     exp: String,
@@ -76,25 +94,35 @@ fn parse_args() -> Args {
             }
             "--exp" => {
                 i += 1;
-                exp = argv.get(i).cloned().unwrap_or_else(|| "all".to_owned());
+                exp = match argv.get(i) {
+                    Some(e) if EXPS.contains(&e.as_str()) => e.clone(),
+                    other => usage_error(&format!(
+                        "bad --exp {}: expected one of {}",
+                        other.map_or("(missing)", String::as_str),
+                        EXPS.join("|")
+                    )),
+                };
             }
             "--scale" => {
                 i += 1;
-                full = argv.get(i).map(|s| s == "full").unwrap_or(false);
+                full = match argv.get(i).map(String::as_str) {
+                    Some("small") => false,
+                    Some("full") => true,
+                    other => usage_error(&format!(
+                        "bad --scale {}: expected small|full",
+                        other.unwrap_or("(missing)")
+                    )),
+                };
             }
             "--threads" => {
                 i += 1;
                 let n: usize = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
                 if n == 0 {
-                    eprintln!("--threads expects a positive integer");
-                    std::process::exit(2);
+                    usage_error("--threads expects a positive integer");
                 }
                 par::set_threads(n);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
         i += 1;
     }
@@ -115,7 +143,6 @@ fn incr_config(full: bool) -> IncrConfig {
     IncrConfig {
         persons: if full { 8_000 } else { 4_000 },
         seed: SEED,
-        threads: 1,
         repeats: if full { 5 } else { 3 },
         batches: vec![1, 8, 64, 256],
     }
@@ -168,7 +195,6 @@ fn run_magic(json_path: Option<&str>, full: bool) {
     let cfg = MagicConfig {
         persons: if full { 4_000 } else { 1_500 },
         seed: SEED,
-        threads: 1,
         repeats: if full { 5 } else { 3 },
         goals_per_program: 3,
     };
@@ -215,81 +241,6 @@ fn run_magic(json_path: Option<&str>, full: bool) {
     }
 }
 
-/// Runs the serving-throughput sweep against a live `vadalink serve`
-/// instance; optionally writes + validates the `BENCH_serve.json`
-/// artifact. Exits non-zero on schema failure.
-fn run_serve(json_path: Option<&str>, full: bool) {
-    let cfg = ServeBenchConfig {
-        persons: if full { 2_000 } else { 600 },
-        seed: SEED,
-        threads: 1,
-        ops_per_reader: if full { 2_000 } else { 400 },
-        zipf_s: 1.1,
-        workload: Workload::Closed,
-        mixes: vec![
-            Mix {
-                readers: 1,
-                writers: 0,
-            },
-            Mix {
-                readers: 4,
-                writers: 0,
-            },
-            Mix {
-                readers: 4,
-                writers: 1,
-            },
-            Mix {
-                readers: 8,
-                writers: 2,
-            },
-        ],
-    };
-    println!(
-        "Serving bench: closed-loop zipfian lookups over TCP against one \
-         epoch-swapping server ({} persons, {} ops/reader, zipf s={})",
-        cfg.persons, cfg.ops_per_reader, cfg.zipf_s
-    );
-    let rows = run_serve_bench(&cfg);
-    println!(
-        "{:>8} {:>8} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>12}",
-        "readers", "writers", "ops", "qps", "p50_us", "p99_us", "updates", "epochs", "stall_max_ns"
-    );
-    for r in &rows {
-        println!(
-            "{:>8} {:>8} {:>8} {:>10.0} {:>10.1} {:>10.1} {:>8} {:>8} {:>12}",
-            r.readers,
-            r.writers,
-            r.ops,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.updates,
-            r.epochs_committed,
-            r.swap_stall_max_ns
-        );
-    }
-    println!(
-        "acceptance: every mix sustains positive qps with ordered percentiles; \
-         writer mixes commit epochs without stalling readers out (EXPERIMENTS.md)."
-    );
-    if let Some(path) = json_path {
-        let text = render_serve_json(&cfg, &rows);
-        if let Err(e) = validate_serve_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::serve_bench::SERVE_SCHEMA
-        );
-    }
-}
-
 /// Runs the production-vs-oracle sweep (programs + linkage kernels);
 /// optionally writes + validates the `BENCH_compile.json` artifact. Exits
 /// non-zero on schema or identity failure.
@@ -301,7 +252,6 @@ fn run_compile(json_path: Option<&str>, full: bool) {
     let cfg = CompileConfig {
         persons: if full { 15_000 } else { 1_500 },
         seed: SEED,
-        threads: 1,
         repeats: 5,
         kernel_pairs: if full { 200_000 } else { 50_000 },
     };
@@ -372,7 +322,6 @@ fn run_store(json_path: Option<&str>, full: bool) {
     let cfg = StoreBenchConfig {
         persons: if full { 8_000 } else { 2_000 },
         seed: SEED,
-        threads: 1,
         updates: if full { 200 } else { 50 },
         cadences: if full {
             vec![0, 16, 64]
@@ -439,9 +388,6 @@ fn main() {
         } else if args.exp == "magic" {
             let path = path.as_deref().unwrap_or("BENCH_magic.json");
             run_magic(Some(path), args.full);
-        } else if args.exp == "serve" {
-            let path = path.as_deref().unwrap_or("BENCH_serve.json");
-            run_serve(Some(path), args.full);
         } else if args.exp == "compile" {
             let path = path.as_deref().unwrap_or("BENCH_compile.json");
             run_compile(Some(path), args.full);
@@ -449,8 +395,7 @@ fn main() {
             let path = path.as_deref().unwrap_or("BENCH_store.json");
             run_store(Some(path), args.full);
         } else {
-            eprintln!("--bench-json needs --exp incr|magic|serve|compile|store");
-            std::process::exit(2);
+            usage_error("--bench-json needs --exp incr|magic|compile|store");
         }
         return;
     }
@@ -563,7 +508,7 @@ fn main() {
                 r.kernel, r.threads, r.secs, r.speedup
             );
         }
-        println!("acceptance: fixpoint and sgns reach >= 2x at 4 threads (EXPERIMENTS.md).\n");
+        println!();
     }
 
     if run("ablations") {
@@ -578,11 +523,6 @@ fn main() {
 
     if args.exp == "magic" {
         run_magic(None, args.full);
-        println!();
-    }
-
-    if args.exp == "serve" {
-        run_serve(None, args.full);
         println!();
     }
 

@@ -15,11 +15,6 @@
 //! `src,dst,label[,k=v;...]` (see `pgraph::io`). Control and close-link
 //! results are printed as `x,y` pairs of node ids, one per line.
 //!
-//! Every subcommand accepts `--threads N` to pin the worker count of the
-//! parallel kernels (walks, training, linkage, fixpoint evaluation); the
-//! default consults `VADALINK_THREADS`, then the machine's parallelism.
-//! Results are identical for every value.
-//!
 //! `--explain-plan` prints the engine's cost-based execution plans for the
 //! subcommand's Vadalog program — per stratum and rule, the chosen literal
 //! order, probe keys and estimated cardinalities — to stderr before the
@@ -113,7 +108,6 @@ subcommands:
             and boot restores snapshot + WAL tail
 
 global options:
-  --threads N   pin the worker-thread count
   -h, --help    print this help and exit
 
 durability options (update, serve):
@@ -195,15 +189,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--addr" => opts.addr = next(&mut i)?,
             "--lax" => opts.lax = true,
             "--json" => opts.json = true,
-            "--threads" => {
-                let n: usize = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                par::set_threads(n);
-            }
             "--data-dir" => opts.data_dir = Some(next(&mut i)?),
             "--fsync" => {
                 opts.fsync = match next(&mut i)?.as_str() {
@@ -549,7 +534,6 @@ fn run_serve_cmd(opts: &Opts) -> Result<ExitCode, String> {
         .map_err(|e| e.to_string())?;
     let cfg = serve::ServiceConfig {
         name: spec.to_owned(),
-        threads: 0,
     };
     let svc = if let Some(dir) = &opts.data_dir {
         match serve::GraphService::open_durable(

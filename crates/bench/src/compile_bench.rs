@@ -105,8 +105,6 @@ pub struct CompileConfig {
     pub persons: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Engine worker threads (1 = sequential reference path).
-    pub threads: usize,
     /// Timing repeats per mode; the minimum is reported.
     pub repeats: usize,
     /// Name pairs in the kernel corpus.
@@ -124,7 +122,7 @@ fn programs() -> [(&'static str, &'static str, Option<f64>); 3] {
 }
 
 /// Runs every bundled program on the production pipeline and on the
-/// oracle at `cfg.threads`, returning one row per program.
+/// oracle, returning one row per program.
 pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
     let out = generate(&CompanyGraphConfig {
         persons: cfg.persons,
@@ -137,10 +135,8 @@ pub fn run_compile_bench(cfg: &CompileConfig) -> Vec<CompileProgramBench> {
     let mut rows = Vec::new();
     for (name, src, threshold) in programs() {
         let program = Program::parse(src).expect("bundled program parses");
-        let mut compiled = Engine::new(&program).expect("bundled program compiles");
-        compiled.options_mut().threads = cfg.threads;
+        let compiled = Engine::new(&program).expect("bundled program compiles");
         let mut interpreted = Engine::new(&program).expect("bundled program compiles");
-        interpreted.options_mut().threads = cfg.threads;
         interpreted.options_mut().oracle = true;
 
         let (compiled_secs, interpreted_secs, stats, db_c, db_i) =
@@ -289,7 +285,6 @@ pub fn render_compile_json(
     s.push_str(&format!("  \"schema\": \"{}\",\n", esc(COMPILE_SCHEMA)));
     s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
     s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
     s.push_str(&format!("  \"kernel_pairs\": {},\n", cfg.kernel_pairs));
     s.push_str("  \"programs\": [\n");
@@ -401,7 +396,7 @@ pub fn validate_compile_json(text: &str) -> Result<(), String> {
     let doc = check_doc_header(
         text,
         COMPILE_SCHEMA,
-        &["persons", "seed", "threads", "repeats", "kernel_pairs"],
+        &["persons", "seed", "repeats", "kernel_pairs"],
     )?;
     let programs = non_empty_array(&doc, "programs")?;
     for (i, p) in programs.iter().enumerate() {
@@ -439,11 +434,18 @@ pub fn validate_compile_json(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn committed_artifact_validates() {
+        // Artifacts are not regenerated when the header loses a key, so
+        // the validator must keep ignoring keys it no longer requires.
+        validate_compile_json(include_str!("../../../BENCH_compile.json"))
+            .expect("committed BENCH_compile.json validates");
+    }
+
     fn sample_cfg() -> CompileConfig {
         CompileConfig {
             persons: 100,
             seed: 1,
-            threads: 1,
             repeats: 1,
             kernel_pairs: 50,
         }
@@ -540,7 +542,6 @@ mod tests {
         let cfg = CompileConfig {
             persons: 60,
             seed: 0xEDB7,
-            threads: 1,
             repeats: 1,
             kernel_pairs: 50,
         };

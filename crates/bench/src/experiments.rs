@@ -427,26 +427,21 @@ pub struct ThreadScalingRow {
 /// * `walks` — node2vec random-walk generation;
 /// * `sgns` — skip-gram training over a fixed walk corpus (sharded mode
 ///   for `threads > 1`);
-/// * `fixpoint` — semi-naive datalog reachability over the ownership
-///   facts, every node a source;
 /// * `linkage` — all-pairs-within-block similarity scoring.
 pub fn exp_thread_scaling(
     nodes: usize,
     thread_counts: &[usize],
     seed: u64,
 ) -> Vec<ThreadScalingRow> {
-    use datalog::{Database, Engine, EngineOptions, Program};
     use embed::{generate_walks, train_sgns, SgnsConfig, WalkConfig};
     use linkage::{jaro_winkler, score_blocks, FeatureBlocker};
-    use vada_link::mapping::load_facts;
 
     let g = generate_ba(&BaConfig::with_density(
         nodes,
         DensityPreset::Superdense,
         seed,
     ));
-    let cg = CompanyGraph::new(g);
-    let csr = pgraph::Csr::from_graph(cg.graph(), "w");
+    let csr = pgraph::Csr::from_graph(&g, "w");
     let mut rows = Vec::new();
     let mut push = |kernel: &'static str, threads: usize, secs: f64, base: f64| {
         rows.push(ThreadScalingRow {
@@ -498,33 +493,6 @@ pub fn exp_thread_scaling(
             base = secs;
         }
         push("sgns", t, secs, base);
-    }
-
-    // Datalog fixpoint: reachability over the ownership facts with every
-    // node a source — wide per-round deltas, the parallel scheduler's case.
-    let src = "reach(X, Y) :- node(X), own(X, Y, _).\n\
-               reach(X, Z) :- reach(X, Y), own(Y, Z, _).";
-    let program = Program::parse(src).expect("valid program");
-    for (i, &t) in thread_counts.iter().enumerate() {
-        let options = EngineOptions {
-            threads: t,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with(&program, Default::default(), options).expect("compiles");
-        let mut db = Database::new();
-        load_facts(&cg, &mut db);
-        for n in cg.graph().node_ids() {
-            let s = vada_link::mapping::sym_of(&mut db, n);
-            db.assert_fact("node", &[s]).expect("arity");
-        }
-        let now = Instant::now();
-        engine.run(&mut db).expect("fixpoint");
-        let secs = now.elapsed().as_secs_f64();
-        std::hint::black_box(&db);
-        if i == 0 {
-            base = secs;
-        }
-        push("fixpoint", t, secs, base);
     }
 
     // Linkage: all-pairs-within-block scoring of synthetic name records.
@@ -601,7 +569,7 @@ mod tests {
     #[test]
     fn thread_scaling_measures_every_kernel() {
         let rows = exp_thread_scaling(300, &[1, 2], 5);
-        for kernel in ["walks", "sgns", "fixpoint", "linkage"] {
+        for kernel in ["walks", "sgns", "linkage"] {
             let ts: Vec<&ThreadScalingRow> = rows.iter().filter(|r| r.kernel == kernel).collect();
             assert_eq!(ts.len(), 2, "{kernel}: one row per thread count");
             assert!(ts.iter().all(|r| r.secs > 0.0), "{kernel}: timed");

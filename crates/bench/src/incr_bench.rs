@@ -52,8 +52,6 @@ pub struct IncrConfig {
     pub persons: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Engine worker threads.
-    pub threads: usize,
     /// Timing repeats per batch size; the minimum is reported.
     pub repeats: usize,
     /// Update batch sizes to sweep.
@@ -167,8 +165,7 @@ pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
     let g = CompanyGraph::new(out.graph);
     let program = Program::parse(CLOSELINK_PROGRAM).expect("bundled program parses");
 
-    let mut engine = Engine::new(&program).expect("bundled program compiles");
-    engine.options_mut().threads = cfg.threads;
+    let engine = Engine::new(&program).expect("bundled program compiles");
     let mut session =
         IncrementalEngine::with(engine, fresh_db(&g)).expect("session opens and runs");
 
@@ -220,8 +217,7 @@ pub fn run_incr_bench(cfg: &IncrConfig) -> Vec<IncrBench> {
             replay(&mut db, &forward);
             db
         };
-        let mut full_engine = Engine::new(&program).expect("compiles");
-        full_engine.options_mut().threads = cfg.threads;
+        let full_engine = Engine::new(&program).expect("compiles");
         let mut full_secs = f64::INFINITY;
         let mut post_db = build_post();
         full_engine.run(&mut post_db).expect("fixpoint"); // warm-up
@@ -275,7 +271,6 @@ pub fn render_incr_json(cfg: &IncrConfig, rows: &[IncrBench]) -> String {
     s.push_str(&format!("  \"schema\": \"{}\",\n", esc(INCR_SCHEMA)));
     s.push_str(&format!("  \"persons\": {},\n", cfg.persons));
     s.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    s.push_str(&format!("  \"threads\": {},\n", cfg.threads));
     s.push_str(&format!("  \"repeats\": {},\n", cfg.repeats));
     s.push_str("  \"batches\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -300,11 +295,7 @@ pub fn render_incr_json(cfg: &IncrConfig, rows: &[IncrBench]) -> String {
 /// Validates a `BENCH_incr.json` document: schema tag, field presence and
 /// types, positive timings, and matched outputs on every row.
 pub fn validate_incr_json(text: &str) -> Result<(), String> {
-    let doc = check_doc_header(
-        text,
-        INCR_SCHEMA,
-        &["persons", "seed", "threads", "repeats"],
-    )?;
+    let doc = check_doc_header(text, INCR_SCHEMA, &["persons", "seed", "repeats"])?;
     let batches = non_empty_array(&doc, "batches")?;
     for (i, b) in batches.iter().enumerate() {
         let ctx = |msg: String| format!("batches[{i}]: {msg}");
@@ -345,7 +336,6 @@ mod tests {
         IncrConfig {
             persons: 100,
             seed: 1,
-            threads: 1,
             repeats: 1,
             batches: vec![1, 8],
         }
@@ -387,7 +377,6 @@ mod tests {
         let cfg = IncrConfig {
             persons: 120,
             seed: 0xEDB7,
-            threads: 1,
             repeats: 1,
             batches: vec![1, 4],
         };

@@ -21,6 +21,5 @@ pub mod compile_bench;
 pub mod experiments;
 pub mod incr_bench;
 pub mod magic_bench;
-pub mod serve_bench;
 pub mod store_bench;
 pub mod synth;

@@ -3,7 +3,8 @@
 //! the `update` subcommand's incremental diff output, the `serve`
 //! subcommand's bind/round-trip/shutdown lifecycle, and durability —
 //! data-dir exit codes (missing dir 2; locked / incompatible store 1)
-//! plus a real SIGKILL-and-restart recovery round trip.
+//! plus a real SIGKILL-and-restart recovery round trip. `repro`'s
+//! argument validation rides along.
 
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -15,6 +16,13 @@ fn vadalink(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("vadalink runs")
+}
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -38,16 +46,23 @@ fn no_arguments_is_a_usage_error() {
 
 #[test]
 fn unknown_flags_exit_2_with_usage_everywhere() {
-    // The executor and shard switches PR 14 removed are unknown flags
-    // now; spelled in two pieces so a grep for them finds nothing.
+    // Executor, shard and thread switches the engine no longer has are
+    // unknown flags; spelled in two pieces so a grep for them finds
+    // nothing.
     let shards = concat!("--", "shards");
     let no_compile = concat!("--", "no-compile");
+    let threads = concat!("--", "threads");
+    // Real graph files, so the thread switch is the only thing wrong.
+    let (dir, nodes, edges) = demo_graph("unknown-flags");
+    let (nodes, edges) = (nodes.to_str().unwrap(), edges.to_str().unwrap());
     for args in [
         &["check", "--frobnicate"][..],
         &["update", "--frobnicate"][..],
         &["control", "--explain-plan", "--frobnicate"][..],
         &["control", shards, "2"][..],
         &["closelink", no_compile][..],
+        &[threads, "2", "stats", "--nodes", nodes, "--edges", edges][..],
+        &["stats", threads, "2", "--nodes", nodes, "--edges", edges][..],
         &["frobnicate"][..],
     ] {
         let out = vadalink(args);
@@ -56,6 +71,33 @@ fn unknown_flags_exit_2_with_usage_everywhere() {
         assert!(
             err.contains("usage: vadalink"),
             "args: {args:?}, stderr: {err}"
+        );
+    }
+    assert_eq!(
+        code(&vadalink(&["stats", "--nodes", nodes, "--edges", edges])),
+        0,
+        "stats runs on the same files without the switch"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_rejects_unknown_experiments_and_scales() {
+    for (args, valid) in [
+        (&["--exp", "bogus"][..], "t1|fig4a"),
+        (&["--exp", "serve"][..], "compile|store"),
+        (&["--exp"][..], "ablations|incr"),
+        (&["--scale", "huge"][..], "small|full"),
+        (&["--exp", "t1", "--scale"][..], "small|full"),
+    ] {
+        let out = repro(args);
+        assert_eq!(code(&out), 2, "args: {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(valid), "args: {args:?}, stderr: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "args: {args:?} ran something: {}",
+            String::from_utf8_lossy(&out.stdout)
         );
     }
 }

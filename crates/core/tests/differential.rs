@@ -8,20 +8,16 @@
 //!   of `(seed, walk index)`; threads only decide who computes them);
 //! * **linkage scoring** — bit-identical score vectors (pairs are
 //!   enumerated deterministically before any thread runs);
-//! * **datalog fixpoint** — identical relations in insertion order (the
-//!   round scheduler splices chunk outputs back in rule order);
 //! * **SGNS training** — *statistically* equivalent: the sharded mode is a
 //!   different (deterministic) schedule, so embeddings differ numerically
 //!   but must induce the same downstream k-means clustering.
 
-use datalog::{Database, Engine, EngineOptions, Program};
 use embed::{generate_walks, kmeans, train_sgns, SgnsConfig, WalkConfig};
 use gen::company::{generate, CompanyGraphConfig};
 use linkage::{jaro_winkler, numeric_distance, score_blocks, FeatureBlocker};
 use pgraph::{Csr, NodeId, PropertyGraph};
-use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
-use vada_link::paper_graphs::{figure1, figure2};
+use vada_link::paper_graphs::figure1;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -121,71 +117,6 @@ fn linkage_scores_are_identical_across_thread_counts() {
     for threads in [2, 8] {
         assert_eq!(run(threads), reference, "threads={threads} diverged");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Datalog fixpoint: identical relations (insertion order included)
-// ---------------------------------------------------------------------------
-
-/// Full relation image in insertion order.
-fn snapshot(db: &Database, preds: &[&str]) -> Vec<String> {
-    let mut out = Vec::new();
-    for pred in preds {
-        let Some(rel) = db.relation(pred) else {
-            continue;
-        };
-        for (row, tuple) in rel.rows().enumerate() {
-            let cells: Vec<String> = tuple.iter().map(|c| db.display(*c)).collect();
-            out.push(format!("{pred}[{row}]({})", cells.join(",")));
-        }
-    }
-    out
-}
-
-fn run_datalog(src: &str, threads: usize, setup: &dyn Fn(&mut Database)) -> Database {
-    let program = Program::parse(src).unwrap();
-    let options = EngineOptions {
-        threads,
-        ..EngineOptions::default()
-    };
-    let engine = Engine::with(&program, Default::default(), options).unwrap();
-    let mut db = Database::new();
-    setup(&mut db);
-    engine.run(&mut db).unwrap();
-    db
-}
-
-fn assert_datalog_identical(src: &str, preds: &[&str], setup: &dyn Fn(&mut Database)) {
-    let reference = snapshot(&run_datalog(src, 1, setup), preds);
-    assert!(!reference.is_empty(), "reference run derived nothing");
-    for threads in [2, 8] {
-        let got = snapshot(&run_datalog(src, threads, setup), preds);
-        assert_eq!(got, reference, "threads={threads} diverged");
-    }
-}
-
-#[test]
-fn control_program_is_identical_across_thread_counts_on_paper_graphs() {
-    for f in [figure1(), figure2()] {
-        assert_datalog_identical(
-            vada_link::programs::CONTROL_PROGRAM,
-            &["control"],
-            &|db: &mut Database| load_facts(&f.graph, db),
-        );
-    }
-}
-
-#[test]
-fn reachability_is_identical_across_thread_counts_on_synthetic_graph() {
-    // Every person is a source: wide frontiers per round, so the parallel
-    // scheduler's chunked path genuinely executes on the ownership facts.
-    let g = synthetic_graph();
-    assert_datalog_identical(
-        "reach(X, Y) :- person(X), own(X, Y, _).\n\
-         reach(X, Z) :- reach(X, Y), own(Y, Z, _).",
-        &["reach"],
-        &|db: &mut Database| load_facts(&g, db),
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //! bundled Vadalog programs on the paper's figure graphs (and a generated
 //! company graph for the recursive workloads), with provenance on (tuple
 //! closures everywhere) and off (batch tier where it is ready), and
-//! compare production at threads 1/2/8 against the oracle at threads 1.
+//! compare production against the oracle.
 //!
 //! The golden suite (`tests/golden`) freezes `@output` semantics; this
 //! suite freezes something stronger — planner and executors must be
@@ -52,7 +52,7 @@ fn full_snapshot(db: &Database) -> Vec<String> {
 
 /// Builds the engine for one configuration. The partner program needs its
 /// external `#linkprob` function; other programs take an empty registry.
-fn engine_for(src: &str, oracle: bool, provenance: bool, threads: usize) -> Engine {
+fn engine_for(src: &str, oracle: bool, provenance: bool) -> Engine {
     let program = Program::parse(src).expect("bundled program parses");
     let mut registry = FunctionRegistry::default();
     if src.contains("#linkprob") {
@@ -69,36 +69,31 @@ fn engine_for(src: &str, oracle: bool, provenance: bool, threads: usize) -> Engi
     }
     let options = EngineOptions {
         oracle,
-        threads,
         provenance,
         ..EngineOptions::default()
     };
     Engine::with(&program, registry, options).expect("bundled program compiles")
 }
 
-/// Runs `src` on the oracle (threads 1) and on production at threads
-/// 1/2/8, with and without provenance, and asserts every production image
-/// equals the oracle's.
+/// Runs `src` on the oracle and on production, with and without
+/// provenance, and asserts the production image equals the oracle's.
 fn assert_executors_agree(name: &str, src: &str, setup: &dyn Fn(&mut Database)) {
     for provenance in [true, false] {
-        let run = |oracle: bool, threads: usize| -> Vec<String> {
+        let run = |oracle: bool| -> Vec<String> {
             let mut db = Database::new();
             setup(&mut db);
-            engine_for(src, oracle, provenance, threads)
+            engine_for(src, oracle, provenance)
                 .run(&mut db)
                 .expect("fixpoint");
             full_snapshot(&db)
         };
-        let reference = run(true, 1);
+        let reference = run(true);
         assert!(!reference.is_empty(), "{name}: oracle derived nothing");
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                run(false, threads),
-                reference,
-                "{name}: production at threads={threads} provenance={provenance} \
-                 diverged from the oracle"
-            );
-        }
+        assert_eq!(
+            run(false),
+            reference,
+            "{name}: production with provenance={provenance} diverged from the oracle"
+        );
     }
 }
 

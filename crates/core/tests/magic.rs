@@ -5,13 +5,13 @@
 //! bound-second, fully bound, all-free), the goal-directed path — magic
 //! rewrite, demand-hinted planning, evaluation of the rewritten program —
 //! must produce *byte-identical* canonical rows to filtering the goal out
-//! of a full bottom-up fixpoint, at thread counts 1, 2 and 8. Where the
+//! of a full bottom-up fixpoint. Where the
 //! rewrite is expected to restrict evaluation (`demanded == true`) or to
 //! fall back (all-free goals, `@post` targets), that is asserted too: a
 //! silent fallback would keep answers correct while losing the entire
 //! point of the rewrite.
 
-use datalog::{Const, Database, Engine, EngineOptions, Program, Query};
+use datalog::{Const, Database, Engine, Program, Query};
 use gen::company::{generate, CompanyGraphConfig};
 use vada_link::mapping::load_facts;
 use vada_link::model::CompanyGraph;
@@ -21,8 +21,6 @@ use vada_link::programs::{
     GENERIC_PIPELINE_PROGRAM, PARTNER_PROGRAM,
 };
 
-const THREADS: [usize; 3] = [1, 2, 8];
-
 /// The database symbol of a named figure node (`load_facts` keys facts by
 /// `n<node index>`).
 fn node_sym(f: &NamedGraph, name: &str) -> String {
@@ -30,8 +28,8 @@ fn node_sym(f: &NamedGraph, name: &str) -> String {
 }
 
 /// Asserts the byte-equivalence contract for one `(program, facts, goal)`
-/// triple across all thread counts, and — when `expect_demanded` is given —
-/// that the rewrite took the expected path.
+/// triple, and — when `expect_demanded` is given — that the rewrite took
+/// the expected path.
 fn check_goal(
     src: &str,
     setup: &dyn Fn(&mut Database),
@@ -41,35 +39,27 @@ fn check_goal(
 ) {
     let program = Program::parse(src).expect("valid program");
     let q = Query::parse(goal).expect("valid goal");
-    for threads in THREADS {
-        let options = EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        };
-        let mut engine = Engine::with(&program, Default::default(), options).expect("compiles");
-        register(&mut engine);
-        let mut base = Database::new();
-        setup(&mut base);
+    let mut engine = Engine::new(&program).expect("compiles");
+    register(&mut engine);
+    let mut base = Database::new();
+    setup(&mut base);
 
-        let mut full = base.clone();
-        engine.run(&mut full).expect("full fixpoint");
-        let reference = datalog::goal_matches(&full, &q);
+    let mut full = base.clone();
+    engine.run(&mut full).expect("full fixpoint");
+    let reference = datalog::goal_matches(&full, &q);
 
-        let answer = engine.query(&base, goal).expect("goal-directed run");
+    let answer = engine.query(&base, goal).expect("goal-directed run");
+    assert_eq!(
+        answer.rows, reference,
+        "goal `{goal}` diverged from full evaluation (demanded={}, fallback={:?})",
+        answer.demanded, answer.fallback_reason
+    );
+    if let Some(expected) = expect_demanded {
         assert_eq!(
-            answer.rows, reference,
-            "goal `{goal}` diverged from full evaluation (threads={threads}, \
-             demanded={}, fallback={:?})",
-            answer.demanded, answer.fallback_reason
+            answer.demanded, expected,
+            "goal `{goal}`: expected demanded={expected} (fallback={:?})",
+            answer.fallback_reason
         );
-        if let Some(expected) = expect_demanded {
-            assert_eq!(
-                answer.demanded, expected,
-                "goal `{goal}`: expected demanded={expected} (threads={threads}, \
-                 fallback={:?})",
-                answer.fallback_reason
-            );
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! through the remaining steps *before* generating more rows, so the
 //! emitted `Derived` sequence — and with it every downstream row id —
 //! is identical to the closure chain's. The differential suites enforce
-//! this at several thread counts with the `simd` feature on and off.
+//! this with the `simd` feature on and off.
 //!
 //! ## Fallback rules
 //!
@@ -64,8 +64,7 @@ pub(crate) enum Src {
     Const(Const),
 }
 
-/// How the leading atom enumerates its rows (when no driver chunk is
-/// supplied).
+/// How the leading atom enumerates its rows.
 #[derive(Debug)]
 enum Lead {
     /// Full scan of the relation.
@@ -610,14 +609,11 @@ fn resolve<'a>(src: &Src, relations: &'a [Relation], buf: &'a Buf) -> RSrc<'a> {
 }
 
 /// Evaluates a batch plan against `relations`, emitting into `ctx`
-/// exactly the `Derived` sequence the tuple chain would. `driver`
-/// optionally restricts the leading atom to pre-enumerated candidate
-/// rows (parallel chunking), as in the tuple executors. Caller
+/// exactly the `Derived` sequence the tuple chain would. Caller
 /// guarantees `!ctx.provenance` and [`ready`].
 pub(crate) fn eval_batch(
     bp: &BatchPlan,
     relations: &[Relation],
-    driver: Option<&[u32]>,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
     let mut bufs: Vec<Buf> = (0..bp.n_depths)
@@ -633,40 +629,36 @@ pub(crate) fn eval_batch(
     scratch.step_in = vec![0; bp.steps.len()];
     scratch.step_out = vec![0; bp.steps.len()];
     let rel = &relations[bp.lead_pred as usize];
-    match driver {
-        // Driver rows are pre-filtered (probe key; naive ⇒ no delta).
-        Some(rows) => feed_lead(bp, relations, &mut bufs, rows, &mut scratch, ctx)?,
-        None => match &bp.lead {
-            Lead::Scan => {
-                let n = rel.len() as u32;
-                let mut start = 0u32;
-                while start < n {
-                    let take = BATCH_WIDTH.min((n - start) as usize) as u32;
-                    bufs[0].rows[0].extend(start..start + take);
-                    bufs[0].len = take as usize;
-                    start += take;
-                    if bufs[0].len == BATCH_WIDTH {
-                        flush(bp, relations, &mut bufs, 0, &mut scratch, ctx)?;
-                    }
+    match &bp.lead {
+        Lead::Scan => {
+            let n = rel.len() as u32;
+            let mut start = 0u32;
+            while start < n {
+                let take = BATCH_WIDTH.min((n - start) as usize) as u32;
+                bufs[0].rows[0].extend(start..start + take);
+                bufs[0].len = take as usize;
+                start += take;
+                if bufs[0].len == BATCH_WIDTH {
+                    flush(bp, relations, &mut bufs, 0, &mut scratch, ctx)?;
                 }
             }
-            Lead::Rows { mask, key } => {
-                feed_lead(
-                    bp,
-                    relations,
-                    &mut bufs,
-                    rel.lookup_rows(*mask, key),
-                    &mut scratch,
-                    ctx,
-                )?;
+        }
+        Lead::Rows { mask, key } => {
+            feed_lead(
+                bp,
+                relations,
+                &mut bufs,
+                rel.lookup_rows(*mask, key),
+                &mut scratch,
+                ctx,
+            )?;
+        }
+        Lead::Find { key } => {
+            if let Some(row) = rel.find(key) {
+                bufs[0].rows[0].push(row);
+                bufs[0].len = 1;
             }
-            Lead::Find { key } => {
-                if let Some(row) = rel.find(key) {
-                    bufs[0].rows[0].push(row);
-                    bufs[0].len = 1;
-                }
-            }
-        },
+        }
     }
     if bufs[0].len > 0 {
         // Tail batch (< WIDTH).
@@ -675,7 +667,7 @@ pub(crate) fn eval_batch(
     Ok(())
 }
 
-/// Feeds pre-enumerated lead rows into depth 0 in `BATCH_WIDTH` chunks.
+/// Feeds probed lead rows into depth 0 in `BATCH_WIDTH` chunks.
 fn feed_lead(
     bp: &BatchPlan,
     relations: &[Relation],

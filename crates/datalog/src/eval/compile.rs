@@ -10,18 +10,18 @@
 //! same rows in the same order, mutates the evaluation context in the
 //! same sequence (Skolem invention, aggregate contributions, symbol
 //! interning), and fails with the same error strings. Differential suites
-//! enforce this over every bundled program at several thread counts.
+//! enforce this over every bundled program.
 //!
 //! What compilation buys over interpretation:
 //!
 //! * **No step dispatch.** Each stage is one indirect call that already
 //!   knows its kind; there is no per-row `match` on step variants and no
 //!   slice indexing into a step list.
-//! * **Check elision.** Rows produced by an index probe, a full-key find
-//!   or a pre-enumerated driver chunk already satisfy every masked
-//!   column (`tuple[i] == key[i]` by construction), so a compiled atom
-//!   stage runs only the ops at *unmasked* columns — the binds plus
-//!   within-atom repeat checks. A full-key find runs no ops at all.
+//! * **Check elision.** Rows produced by an index probe or a full-key
+//!   find already satisfy every masked column (`tuple[i] == key[i]` by
+//!   construction), so a compiled atom stage runs only the ops at
+//!   *unmasked* columns — the binds plus within-atom repeat checks. A
+//!   full-key find runs no ops at all.
 //! * **Pre-built keys.** Probe keys made only of constants are
 //!   materialized at compile time instead of rebuilt per visit.
 //! * **Expression lowering.** Conditions and lets with the common
@@ -44,12 +44,12 @@ use crate::value::{Const, Tuple};
 
 /// One compiled stage: consumes the current [`Frame`], enumerates its
 /// matches (or applies its filter) and calls the next stage it owns.
-type Stage = Box<dyn for<'r, 'b, 'c> Fn(&mut Frame<'r, 'b, 'c>) -> Result<()> + Send + Sync>;
+type Stage = Box<dyn for<'r, 'b, 'c> Fn(&mut Frame<'r, 'b, 'c>) -> Result<()>>;
 
 /// Funnel that forces closures into the higher-ranked [`Stage`] signature.
 fn stage<F>(f: F) -> Stage
 where
-    F: for<'r, 'b, 'c> Fn(&mut Frame<'r, 'b, 'c>) -> Result<()> + Send + Sync + 'static,
+    F: for<'r, 'b, 'c> Fn(&mut Frame<'r, 'b, 'c>) -> Result<()> + 'static,
 {
     Box::new(f)
 }
@@ -62,9 +62,6 @@ pub(crate) struct Frame<'r, 'b, 'c> {
     relations: &'r [Relation],
     /// First delta row for the delta-tagged atom stage (0 on naive plans).
     delta_start: u32,
-    /// Pre-enumerated candidate rows for the first stage (chunked
-    /// parallel evaluation), already delta-filtered.
-    driver: Option<&'r [u32]>,
     binding: Vec<Option<Const>>,
     support: Vec<(u32, u32)>,
     key_buf: Vec<Const>,
@@ -121,20 +118,18 @@ pub(crate) fn compile_stratum(
 }
 
 /// Evaluates one compiled rule against `relations`, mirroring
-/// [`eval_rule_chunk`](crate::eval::exec::eval_rule_chunk): `delta_start`
-/// is the first delta row when this is a delta plan (pass 0 for naive),
-/// `driver` an optional pre-enumerated candidate list for the first stage.
-pub(crate) fn eval_compiled_chunk(
+/// [`eval_rule`](crate::eval::exec::eval_rule): `delta_start` is the first
+/// delta row when this is a delta plan (pass 0 for naive).
+pub(crate) fn eval_compiled(
     cr: &CompiledRule,
     relations: &[Relation],
     delta_start: u32,
-    driver: Option<&[u32]>,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
     if !ctx.provenance {
         if let Some(bp) = &cr.batch {
             if batch::ready(bp, relations) {
-                return batch::eval_batch(bp, relations, driver, ctx);
+                return batch::eval_batch(bp, relations, ctx);
             }
         }
     }
@@ -150,7 +145,6 @@ pub(crate) fn eval_compiled_chunk(
     let mut f = Frame {
         relations,
         delta_start,
-        driver,
         binding,
         support,
         key_buf,
@@ -178,10 +172,10 @@ pub(crate) fn eval_compiled_chunk(
 
 fn compile_plan(rule: &RRule, plan: &RulePlan, delta_li: Option<usize>) -> CompiledRule {
     let mut next = make_emit(rule);
-    for (si, step) in plan.steps.iter().enumerate().rev() {
+    for step in plan.steps.iter().rev() {
         next = match step {
             Step::Atom(a) => {
-                let data = AtomData::lower(a, si == 0, delta_li == Some(a.lit));
+                let data = AtomData::lower(a, delta_li == Some(a.lit));
                 make_atom(data, next)
             }
             Step::Negated(li) => {
@@ -248,19 +242,17 @@ struct AtomData {
     full_key: bool,
     key: KeyPlan,
     /// Unification ops at *unmasked* columns only, with their column
-    /// offsets. Masked columns are guaranteed by the probe/find/driver
-    /// row source (check elision).
+    /// offsets. Masked columns are guaranteed by the probe/find row
+    /// source (check elision).
     ops: Box<[(usize, TermOp)]>,
     binds: Box<[u32]>,
     support_slot: usize,
     /// Whether the semi-naive delta restriction applies to this atom.
     is_delta: bool,
-    /// Whether this stage may consume the frame's driver rows (stage 0).
-    allow_driver: bool,
 }
 
 impl AtomData {
-    fn lower(a: &crate::eval::plan::AtomStep, first: bool, is_delta: bool) -> AtomData {
+    fn lower(a: &crate::eval::plan::AtomStep, is_delta: bool) -> AtomData {
         let key = if a.mask == 0 {
             KeyPlan::None
         } else if a.key_ops.iter().all(|k| matches!(k, KeyOp::Const(_))) {
@@ -276,7 +268,7 @@ impl AtomData {
         } else {
             KeyPlan::Dyn(a.key_ops.clone().into_boxed_slice())
         };
-        // Check elision: rows from a probe, find or driver already match
+        // Check elision: rows from a probe or find already match
         // every masked column, so only unmasked ops remain. The planner
         // sets mask bits exactly on CheckConst and bound-var CheckVar
         // positions, so what survives is Binds plus within-atom repeats.
@@ -296,7 +288,6 @@ impl AtomData {
             binds: a.binds.clone().into_boxed_slice(),
             support_slot: a.support_slot,
             is_delta,
-            allow_driver: first,
         }
     }
 }
@@ -358,15 +349,6 @@ fn make_atom(a: AtomData, next: Stage) -> Stage {
         let relations = f.relations;
         let rel = &relations[a.pred as usize];
         let start = if a.is_delta { f.delta_start } else { 0 };
-        if a.allow_driver {
-            if let Some(rows) = f.driver {
-                // Driver rows are pre-filtered (delta and probe key).
-                for &row in rows {
-                    visit_row(&a, &next, f, row)?;
-                }
-                return Ok(());
-            }
-        }
         match &a.key {
             KeyPlan::None => {
                 for row in start..rel.len() as u32 {

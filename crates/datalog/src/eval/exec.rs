@@ -1,6 +1,6 @@
 //! Rule evaluation: joins, conditions, aggregation, head emission.
 //!
-//! One [`eval_rule_chunk`] call enumerates all matches of a rule body against the
+//! One [`eval_rule`] call enumerates all matches of a rule body against the
 //! current relations — optionally restricting one positive atom to the
 //! semi-naive delta — and buffers the derived head facts. The body is
 //! walked in the order chosen by the cost-based planner
@@ -33,9 +33,9 @@ pub(crate) struct Derived {
 }
 
 /// Reusable per-evaluation scratch space. One instance lives for the whole
-/// fixpoint (one per parallel worker); every [`eval_rule_chunk`] call
-/// borrows its buffers, so steady-state rule evaluation performs no
-/// allocations until a genuinely new fact is emitted.
+/// fixpoint; every [`eval_rule`] call borrows its buffers, so steady-state
+/// rule evaluation performs no allocations until a genuinely new fact is
+/// emitted.
 #[derive(Default)]
 pub(crate) struct Workspace {
     pub(crate) binding: Vec<Option<Const>>,
@@ -47,9 +47,9 @@ pub(crate) struct Workspace {
     pub(crate) group_buf: Vec<Const>,
     /// Tuples this workspace has already pushed to `out`, per head
     /// predicate — consulted only with provenance off, where any single
-    /// representative of an in-round duplicate is equivalent (the
-    /// canonical post-round dedup collapses them regardless of which
-    /// copies were pushed). Skipping the duplicates here avoids their
+    /// representative of an in-round duplicate is equivalent (insertion
+    /// keeps one copy of each tuple, and without provenance the copies
+    /// are indistinguishable). Skipping the duplicates here avoids their
     /// tuple allocations and their share of the post-round sort. Entries
     /// are never stale: every recorded tuple is inserted into its
     /// relation at the end of the round that pushed it.
@@ -68,22 +68,14 @@ pub(crate) struct RunCtx<'b> {
     pub provenance: bool,
 }
 
-/// Evaluates `rule` under `plan` against `relations`, optionally
-/// restricted to an explicit candidate-row list for the plan's
-/// first step (which must be a positive atom). If `delta` is
+/// Evaluates `rule` under `plan` against `relations`. If `delta` is
 /// `Some((li, start))`, the positive atom at *original body literal* `li`
-/// only matches rows `>= start`. The driver rows must be an
-/// in-order subsequence of what the unrestricted evaluation would
-/// enumerate — see [`driver_rows`] — so concatenating the outputs of a
-/// partition of chunks reproduces the sequential output exactly. This is
-/// the hook the parallel round scheduler uses to split one rule evaluation
-/// across workers.
-pub(crate) fn eval_rule_chunk(
+/// only matches rows `>= start`.
+pub(crate) fn eval_rule(
     rule: &RRule,
     plan: &RulePlan,
     relations: &[Relation],
     delta: Option<(usize, u32)>,
-    driver: Option<&[u32]>,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
     // Borrow the workspace buffers for the duration of this evaluation;
@@ -101,7 +93,6 @@ pub(crate) fn eval_rule_chunk(
         plan,
         relations,
         delta,
-        driver,
         binding,
         support,
         key_buf,
@@ -124,61 +115,11 @@ pub(crate) fn eval_rule_chunk(
     result
 }
 
-/// Materializes the candidate rows the *first* plan step of a rule would
-/// enumerate under `delta`, in enumeration order. Returns `None` when the
-/// plan has no leading positive atom to drive chunking from (empty bodies).
-/// Mirrors the probe/scan dispatch of `match_atom` at step 0, where the
-/// planner guarantees any masked position is a constant.
-pub(crate) fn driver_rows(
-    plan: &RulePlan,
-    relations: &[Relation],
-    delta: Option<(usize, u32)>,
-) -> Option<Vec<u32>> {
-    let Some(Step::Atom(step)) = plan.steps.first() else {
-        return None;
-    };
-    let rel = &relations[step.pred as usize];
-    let delta_start = match delta {
-        Some((li, start)) if li == step.lit => Some(start),
-        _ => None,
-    };
-    if step.mask != 0 {
-        let mut key = Vec::with_capacity(step.key_ops.len());
-        for k in &step.key_ops {
-            match k {
-                KeyOp::Const(c) => key.push(*c),
-                // No variable can be bound before the first atom; bail out
-                // defensively rather than panic if a plan ever violates it.
-                KeyOp::Var(_) => return None,
-            }
-        }
-        if step.full_key() {
-            // Fully ground atom: membership via the dedup map, no index.
-            return Some(
-                rel.find(&key)
-                    .into_iter()
-                    .filter(|&r| delta_start.is_none_or(|start| r >= start))
-                    .collect(),
-            );
-        }
-        let rows = rel.lookup_rows(step.mask, &key);
-        Some(match delta_start {
-            Some(start) => rows.iter().copied().filter(|&r| r >= start).collect(),
-            None => rows.to_vec(),
-        })
-    } else {
-        let start = delta_start.unwrap_or(0);
-        Some((start..rel.len() as u32).collect())
-    }
-}
-
 struct Evaluator<'a, 'c> {
     rule: &'a RRule,
     plan: &'a RulePlan,
     relations: &'a [Relation],
     delta: Option<(usize, u32)>,
-    /// Pre-enumerated candidate rows for step 0 (chunked evaluation).
-    driver: Option<&'a [u32]>,
     binding: Vec<Option<Const>>,
     /// Provenance parents, one slot per positive literal in original body
     /// order — slot addressing keeps parent order plan-independent.
@@ -268,18 +209,13 @@ impl<'a, 'c> Evaluator<'a, 'c> {
         };
         // Collect candidate rows.
         enum Rows<'r> {
-            /// Pre-enumerated (and pre-filtered) by the parallel scheduler.
-            Driver(&'r [u32]),
             Probe(&'r [u32]),
             /// Full-key membership test answered by the dedup map — no
             /// registered index involved.
             Find(Option<u32>),
             Scan(std::ops::Range<u32>),
         }
-        let driver = if si == 0 { self.driver } else { None };
-        let rows = if let Some(rows) = driver {
-            Rows::Driver(rows)
-        } else if step.mask != 0 {
+        let rows = if step.mask != 0 {
             self.key_buf.clear();
             for k in &step.key_ops {
                 self.key_buf.push(match k {
@@ -335,11 +271,6 @@ impl<'a, 'c> Evaluator<'a, 'c> {
             result
         };
         match rows {
-            Rows::Driver(rows) => {
-                for &row in rows {
-                    visit(self, row)?;
-                }
-            }
             Rows::Probe(rows) => {
                 for &row in rows {
                     if let Some(start) = delta_start {

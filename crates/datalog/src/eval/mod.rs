@@ -23,12 +23,10 @@
 //! makes row ids and provenance byte-identical between the planned
 //! production executors and the unplanned reference oracle.
 //!
-//! Rounds can evaluate on [`par`] worker threads ([`EngineOptions::threads`]):
-//! rules whose bodies touch no shared evaluation state (no aggregates, no
-//! Skolem invention, no external calls) are split into chunks of their
-//! driving literal's candidate rows, and chunk outputs are merged back in
-//! sequential order, so the derived facts — values, insertion order, row
-//! ids, provenance — are identical for every thread count.
+//! A fixpoint runs on one thread. The recursion of every bundled program
+//! carries an aggregate, a Skolem term or an external call, whose state
+//! is shared across a round, so the rules that do the work cannot be
+//! split over worker threads without merging that state (DESIGN §8).
 
 pub(crate) mod agg;
 pub(crate) mod batch;
@@ -43,15 +41,15 @@ use std::time::{Duration, Instant};
 use crate::analysis::{adorn, analyze_with, AnalysisConfig};
 use crate::ast::{Directive, Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
-use crate::db::{Database, Relation, SkolemTable, SymbolTable};
+use crate::db::{Database, Relation};
 use crate::error::{DatalogError, Result};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::{Const, Tuple};
 
 use agg::AggStore;
-use compile::{compile_stratum, eval_compiled_chunk, CompiledRule, CompiledRulePlans};
-use exec::{driver_rows, eval_rule_chunk, Derived, RunCtx, Workspace};
-use plan::{plan_stratum, RulePlan, RulePlans, Step, StratumStats};
+use compile::{compile_stratum, eval_compiled, CompiledRulePlans};
+use exec::{eval_rule, Derived, RunCtx, Workspace};
+use plan::{plan_stratum, RulePlans, Step, StratumStats};
 use resolve::{resolve_rules, CompiledProgram, RLiteral, RRule};
 
 /// Tunable evaluation options.
@@ -76,12 +74,6 @@ pub struct EngineOptions {
     /// [`AnalysisConfig::permissive`] restores the pre-analyzer behavior
     /// (problems surface at evaluation time, if at all).
     pub analysis: AnalysisConfig,
-    /// Worker threads for rule evaluation within a fixpoint round. `0`
-    /// resolves via [`par::threads`] (the `VADALINK_THREADS` environment
-    /// variable, then available parallelism); `1` forces the sequential
-    /// path. The result is byte-identical for every value: parallel rounds
-    /// splice their per-chunk outputs back in sequential order.
-    pub threads: usize,
     /// Predicates the cost planner should assume are small before any
     /// statistics exist — the demand (`magic_*`) relations of a
     /// goal-directed rewrite, whose extent is bounded by the query's
@@ -107,7 +99,6 @@ impl Default for EngineOptions {
             provenance: false,
             apply_post: true,
             analysis: AnalysisConfig::default(),
-            threads: 0,
             demand_hints: Vec::new(),
             oracle: false,
         }
@@ -447,7 +438,6 @@ pub(crate) fn run_compiled(
         .iter()
         .filter_map(|name| db.find_pred(name))
         .collect();
-    let threads = par::resolve(options.threads);
     let mut stats = RunStats::default();
     let mut agg = AggStore::default();
     let mut ws = Workspace::default();
@@ -462,7 +452,6 @@ pub(crate) fn run_compiled(
             registry,
             options,
             &demand,
-            threads,
             &mut agg,
             &mut ws,
             &mut stats,
@@ -499,7 +488,6 @@ pub(crate) fn run_stratum(
     registry: &FunctionRegistry,
     options: &EngineOptions,
     demand: &FxHashSet<u32>,
-    threads: usize,
     agg: &mut AggStore,
     ws: &mut Workspace,
     stats: &mut RunStats,
@@ -642,7 +630,6 @@ pub(crate) fn run_stratum(
                 }
             }
             let mut out: Vec<Derived> = Vec::new();
-            let fully_sequential;
             {
                 let db_ref = &mut *db;
                 let relations = &db_ref.relations;
@@ -678,13 +665,12 @@ pub(crate) fn run_stratum(
                     epsilon: options.epsilon,
                     provenance: options.provenance,
                 };
-                fully_sequential = eval_round(
+                eval_round(
                     rules,
                     &plans,
                     compiled.as_deref(),
                     relations,
                     &items,
-                    threads,
                     &mut ctx,
                 )?;
             }
@@ -700,14 +686,13 @@ pub(crate) fn run_stratum(
             // per round (e.g. a close-link pair once per common
             // shareholder) shrink by orders of magnitude here.
             //
-            // With provenance off a fully sequential round is already
-            // duplicate-free: plain heads and conditional aggregates
-            // consult the workspace emitted set, and epsilon-guarded
-            // aggregate emissions never repeat a tuple within a round.
-            // Parallel rounds still need the pass — workers share no
-            // emitted set — as do provenance runs, where duplicates
-            // carry distinct trees and the minimum must be kept.
-            if out.len() > 1 && (options.provenance || !fully_sequential) {
+            // With provenance off a round is already duplicate-free:
+            // plain heads and conditional aggregates consult the
+            // workspace emitted set, and epsilon-guarded aggregate
+            // emissions never repeat a tuple within a round. Only
+            // provenance runs need the pass, where duplicates carry
+            // distinct trees and the minimum must be kept.
+            if out.len() > 1 && options.provenance {
                 let mut best: FxHashMap<(u32, Tuple), usize> = FxHashMap::default();
                 best.reserve(out.len());
                 let mut keep = vec![false; out.len()];
@@ -769,172 +754,40 @@ pub(crate) fn run_stratum(
     Ok(())
 }
 
-/// Driver rows below which a round runs sequentially: thread spawn and
-/// merge overhead dominate tiny rounds, and the result is identical either
-/// way.
-const PAR_MIN_DRIVER_ROWS: usize = 512;
-
-/// Evaluates one round's work items, parallelizing the chunkable ones.
-///
-/// An item is chunkable when its rule is `par_full` — the body touches no
-/// shared mutable state (symbol interning, Skolem invention, aggregate
-/// accumulators) — and it has a leading positive atom whose candidate rows
-/// drive the join. Those rows are split into contiguous chunks evaluated
-/// on [`par`] workers against throwaway context tables; chunk outputs are
-/// spliced back in (item, chunk) order, and non-chunkable items run
-/// sequentially at their original position with the real context. The
-/// resulting `out` buffer is byte-identical to a fully sequential round:
-/// same derivations, same order, hence the same row ids and provenance
-/// downstream.
-///
-/// Returns `true` when the whole round ran sequentially against the real
-/// context — the caller can then skip its duplicate-collapse pass for
-/// provenance-free runs, since sequential emission already dedups.
+/// Evaluates one round's work items in order: production runs each
+/// item's compiled rule, the oracle the step machine over its plan — both
+/// enumerate identically. Round 0 items run the naive plan, later ones the
+/// plan driven by their delta literal.
 fn eval_round(
     rules: &[RRule],
     plans: &[Option<RulePlans>],
     compiled: Option<&[Option<CompiledRulePlans>]>,
     relations: &[Relation],
     items: &[(usize, Option<(usize, u32)>)],
-    threads: usize,
     ctx: &mut RunCtx<'_>,
-) -> Result<bool> {
-    // The plan for one work item: the naive plan on round 0, the matching
-    // delta plan otherwise.
-    let plan_for = |ri: usize, delta: Option<(usize, u32)>| -> &RulePlan {
-        let rp = plans[ri].as_ref().expect("stratum rules are planned");
-        match delta {
-            None => &rp.naive,
-            Some((li, _)) => {
-                let k = rules[ri]
-                    .positive_literals
-                    .iter()
-                    .position(|&p| p == li)
-                    .expect("delta literal is a positive atom");
-                &rp.delta[k]
-            }
-        }
-    };
-    // The compiled twin of `plan_for`; `None` under the oracle.
-    let compiled_for = |ri: usize, delta: Option<(usize, u32)>| -> Option<&CompiledRule> {
-        let cp = compiled?[ri].as_ref().expect("stratum rules are compiled");
-        Some(match delta {
-            None => &cp.naive,
-            Some((li, _)) => {
-                let k = rules[ri]
-                    .positive_literals
-                    .iter()
-                    .position(|&p| p == li)
-                    .expect("delta literal is a positive atom");
-                &cp.delta[k]
-            }
-        })
-    };
-    // One work item (optionally chunk-restricted): production runs the
-    // compiled rule, the oracle the step machine — both enumerate
-    // identically.
-    let run_one = |ri: usize,
-                   delta: Option<(usize, u32)>,
-                   driver: Option<&[u32]>,
-                   ctx: &mut RunCtx<'_>|
-     -> Result<()> {
-        match compiled_for(ri, delta) {
-            Some(cr) => {
-                eval_compiled_chunk(cr, relations, delta.map_or(0, |(_, s)| s), driver, ctx)
-            }
-            None => eval_rule_chunk(
-                &rules[ri],
-                plan_for(ri, delta),
-                relations,
-                delta,
-                driver,
-                ctx,
-            ),
-        }
-    };
-    let run_seq = |ctx: &mut RunCtx<'_>| -> Result<()> {
-        for &(ri, delta) in items {
-            run_one(ri, delta, None, ctx)?;
-        }
-        Ok(())
-    };
-    if threads <= 1 {
-        run_seq(ctx)?;
-        return Ok(true);
-    }
-    // Candidate rows per chunkable item; `None` marks sequential items.
-    let mut drivers: Vec<Option<Vec<u32>>> = Vec::with_capacity(items.len());
-    let mut total = 0usize;
+) -> Result<()> {
     for &(ri, delta) in items {
-        let rule = &rules[ri];
-        let rows = if rule.par_full {
-            driver_rows(plan_for(ri, delta), relations, delta)
-        } else {
-            None
-        };
-        if let Some(r) = &rows {
-            total += r.len();
-        }
-        drivers.push(rows);
-    }
-    if total < PAR_MIN_DRIVER_ROWS {
-        run_seq(ctx)?;
-        return Ok(true);
-    }
-    // Subtasks in (item, chunk) order; a few chunks per worker so a skewed
-    // chunk cannot serialize the round.
-    let chunk = (total / (threads * 4)).max(PAR_MIN_DRIVER_ROWS / 4);
-    let mut subtasks: Vec<(usize, &[u32])> = Vec::new();
-    for (idx, rows) in drivers.iter().enumerate() {
-        if let Some(rows) = rows {
-            let mut s = 0;
-            while s < rows.len() {
-                let e = (s + chunk).min(rows.len());
-                subtasks.push((idx, &rows[s..e]));
-                s = e;
+        let k = delta.map(|(li, _)| {
+            rules[ri]
+                .positive_literals
+                .iter()
+                .position(|&p| p == li)
+                .expect("delta literal is a positive atom")
+        });
+        match compiled {
+            Some(compiled) => {
+                let cp = compiled[ri].as_ref().expect("stratum rules are compiled");
+                let cr = k.map_or(&cp.naive, |k| &cp.delta[k]);
+                eval_compiled(cr, relations, delta.map_or(0, |(_, s)| s), ctx)?;
+            }
+            None => {
+                let rp = plans[ri].as_ref().expect("stratum rules are planned");
+                let plan = k.map_or(&rp.naive, |k| &rp.delta[k]);
+                eval_rule(&rules[ri], plan, relations, delta, ctx)?;
             }
         }
     }
-    let registry = ctx.registry;
-    let epsilon = ctx.epsilon;
-    let provenance = ctx.provenance;
-    let results = par::par_map_with(&subtasks, threads, 1, |&(idx, rows)| {
-        let (ri, delta) = items[idx];
-        // par_full rules never consult the symbol/Skolem/aggregate state;
-        // the worker gets throwaway instances so nothing is shared.
-        let mut symbols = SymbolTable::default();
-        let mut skolems = SkolemTable::default();
-        let mut agg = AggStore::default();
-        let mut ws = Workspace::default();
-        let mut local: Vec<Derived> = Vec::new();
-        let mut wctx = RunCtx {
-            symbols: &mut symbols,
-            skolems: &mut skolems,
-            registry,
-            agg: &mut agg,
-            out: &mut local,
-            ws: &mut ws,
-            epsilon,
-            provenance,
-        };
-        run_one(ri, delta, Some(rows), &mut wctx).map(|()| local)
-    });
-    // Splice in sequential order: chunk outputs at their item's position,
-    // sequential items evaluated in place with the real context.
-    let mut results = results.into_iter();
-    let mut cursor = 0usize;
-    for (idx, &(ri, delta)) in items.iter().enumerate() {
-        if drivers[idx].is_some() {
-            while cursor < subtasks.len() && subtasks[cursor].0 == idx {
-                let local = results.next().expect("one result per subtask")?;
-                ctx.out.extend(local);
-                cursor += 1;
-            }
-        } else {
-            run_one(ri, delta, None, ctx)?;
-        }
-    }
-    Ok(false)
+    Ok(())
 }
 
 /// Applies a `@post` grouping filter: per grouping of all columns except the

@@ -18,7 +18,7 @@
 //! exactly the facts derived in the previous round, almost always the
 //! smallest input by far.
 //!
-//! **Reordering legality.** Only `par_full` rules are reordered. The other
+//! **Reordering legality.** Only `pure` rules are reordered. The other
 //! rules observe evaluation *order* through shared state — aggregate
 //! running totals (`total += value` over floats), Skolem OID invention
 //! sequence, symbol interning by external calls — so they always get the
@@ -195,7 +195,7 @@ impl StratumStats {
     }
 
     /// As [`StratumStats::collect`], but restricted to predicates read by
-    /// rules the planner may actually reorder (`par_full`), reusing cached
+    /// rules the planner may actually reorder (`pure`), reusing cached
     /// measurements for relations whose row count is unchanged. Sampling
     /// reads the first `cap` rows and relations only grow, so an
     /// unchanged length implies unchanged statistics. Identity-planned rules
@@ -217,7 +217,7 @@ impl StratumStats {
     ) -> Self {
         let mut preds: FxHashMap<u32, PredStats> = FxHashMap::default();
         for &ri in stratum {
-            if !rules[ri].par_full {
+            if !rules[ri].pure {
                 continue;
             }
             for lit in &rules[ri].body {
@@ -328,8 +328,8 @@ fn choose_order(rule: &RRule, stats: &StratumStats, force_first: Option<usize>) 
 
     loop {
         // Eager placement of negations, conditions and Lets whose inputs
-        // are bound — but never ahead of the first atom, so the parallel
-        // scheduler can always chunk on the plan's leading atom.
+        // are bound — but never ahead of the first atom, so the batch
+        // tier can always lead with the plan's first step.
         if atoms_placed > 0 || n_atoms == 0 {
             let mut progress = true;
             while progress {
@@ -542,7 +542,7 @@ fn plan_rule(
     force_first: Option<usize>,
     enable: bool,
 ) -> RulePlan {
-    let reorder = enable && rule.par_full;
+    let reorder = enable && rule.pure;
     if reorder {
         let order = choose_order(rule, stats, force_first);
         if order_is_legal(rule, &order) {
@@ -771,7 +771,7 @@ pub(crate) fn render_rule_report(
     let heads: Vec<String> = rule.head.iter().map(|h| render_atom(h, vars, db)).collect();
     let tag = if plans.naive.planned {
         "cost-planned"
-    } else if rule.par_full {
+    } else if rule.pure {
         "identity (planning disabled)"
     } else {
         "identity (order-sensitive rule)"
@@ -987,7 +987,7 @@ mod tests {
     fn first_step_mask_has_only_constants() {
         // Whatever the order, nothing is bound before the first atom, so
         // its probe key (if any) is all constants — the invariant the
-        // parallel chunker relies on.
+        // batch tier's lead relies on.
         let (rules, db) = ctx("r(X) :- e(\"a\", X), f(X).", |db| {
             db.assert_str_facts("e", &[&["a", "b"], &["a", "c"], &["b", "c"]]);
             db.assert_str_facts("f", &[&["b"]]);

@@ -584,10 +584,13 @@ pub(crate) struct RRule {
     /// True when evaluating the rule touches none of the shared mutable
     /// evaluation state — no aggregate accumulators, no Skolem invention
     /// (existentials, `#f(..)` terms or unregistered-call fallbacks), no
-    /// symbol interning (external `#f(..)` calls). Such a rule is a pure
-    /// function of the frozen relations, so one evaluation can be split
-    /// across worker threads and merged deterministically.
-    pub par_full: bool,
+    /// symbol interning (external `#f(..)` calls) — so its set of matches
+    /// does not depend on the order it enumerates them in. Gates exactly
+    /// two things: the planner may reorder the body
+    /// ([`crate::eval::plan`]), and incremental maintenance may keep the
+    /// rule's unit by counting or DRed instead of replay
+    /// ([`crate::incr`]).
+    pub pure: bool,
 }
 
 /// True when the term invents no Skolem OIDs at evaluation time.
@@ -608,11 +611,7 @@ fn rexpr_pure(e: &RExpr) -> bool {
     }
 }
 
-fn rule_is_par_full(
-    head: &[RAtom],
-    body: &[RLiteral],
-    existentials: &[(u32, u32, Vec<u32>)],
-) -> bool {
+fn rule_is_pure(head: &[RAtom], body: &[RLiteral], existentials: &[(u32, u32, Vec<u32>)]) -> bool {
     existentials.is_empty()
         && head.iter().all(|h| h.terms.iter().all(rterm_pure))
         && body.iter().all(|l| match l {
@@ -781,7 +780,7 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
         }
         // Negated atoms probe by full-tuple find(); no index registration
         // needed (the dedup map serves as the full-key index).
-        let par_full = rule_is_par_full(&head, &body, &existentials);
+        let pure = rule_is_pure(&head, &body, &existentials);
         out.push(RRule {
             idx: ri as u32,
             head,
@@ -790,7 +789,7 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
             existentials,
             positive_literals,
             positive_preds,
-            par_full,
+            pure,
         });
     }
     Ok(out)
@@ -882,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn par_full_classification() {
+    fn purity_classification() {
         use crate::db::Database;
         let resolve = |src: &str| {
             let program = Program::parse(src).unwrap();
@@ -890,22 +889,22 @@ mod tests {
             let mut db = Database::new();
             resolve_rules(&program, &mut db).unwrap()
         };
-        // Pure joins, negation, conditions and call-free bindings are safe.
+        // Pure joins, negation, conditions and call-free bindings are pure.
         let safe = resolve(
             "t(X, Z) :- t(X, Y), e(Y, Z).\n\
              r(X) :- n(X), not t(X, X).\n\
              b(X, V) :- n2(X, W), V = W * 2 + 1, V > 5.",
         );
-        assert!(safe.iter().all(|r| r.par_full), "{safe:?}");
+        assert!(safe.iter().all(|r| r.pure), "{safe:?}");
         // Aggregates, existentials, Skolem terms and external calls all
-        // touch shared state and must stay on the sequential path.
+        // touch shared state, so their evaluation order is observable.
         let unsafe_rules = resolve(
             "acc(X, V) :- own(X, W), V = msum(W, <X>).\n\
              edge(Z, X) :- own2(X, _).\n\
              link(Z, X) :- own3(X, _), Z = #mk(X).\n\
              len(X, L) :- w(X), L = #strlen(X).",
         );
-        assert!(unsafe_rules.iter().all(|r| !r.par_full), "{unsafe_rules:?}");
+        assert!(unsafe_rules.iter().all(|r| !r.pure), "{unsafe_rules:?}");
     }
 
     #[test]

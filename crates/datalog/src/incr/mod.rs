@@ -133,7 +133,6 @@ pub struct IncrementalEngine {
     seeds: FxHashSet<(u32, Tuple)>,
     /// Seed rows per predicate in original insertion order.
     seed_rows: FxHashMap<u32, Vec<Tuple>>,
-    threads: usize,
 }
 
 impl IncrementalEngine {
@@ -150,7 +149,6 @@ impl IncrementalEngine {
                 "incremental sessions do not support provenance tracking".into(),
             ));
         }
-        let threads = par::resolve(engine.options().threads);
         // Resolve before the initial run so seed rows of derived
         // predicates can be captured. The engine re-resolves internally;
         // interning is idempotent, so the ids agree.
@@ -186,7 +184,6 @@ impl IncrementalEngine {
             counts: FxHashMap::default(),
             seeds,
             seed_rows,
-            threads,
         };
         session.build_plans()?;
         session.init_counts()?;
@@ -557,7 +554,6 @@ impl IncrementalEngine {
             self.engine.registry(),
             self.engine.options(),
             &FxHashSet::default(),
-            self.threads,
             &mut agg,
             &mut ws,
             &mut scratch,

@@ -272,7 +272,7 @@ pub(crate) fn build_units(
     // -- mode classification ---------------------------------------------
     let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
     for u in units.iter_mut() {
-        let impure = u.rules.iter().any(|&ri| !rules[ri].par_full);
+        let impure = u.rules.iter().any(|&ri| !rules[ri].pure);
         let is_posted = u.preds.iter().any(|p| posted_preds.contains(p));
         u.mode = if impure || is_posted {
             Mode::Replay

@@ -4,8 +4,8 @@
 //! The bundled paper programs pin six real workloads; this suite
 //! generates random — but legal and type-uniform — programs and checks
 //! the engine's core contract on each: the production pipeline (cost
-//! planning, closure chains, batch tier) at 1, 2 or 8 threads must
-//! produce a database byte-identical — tuples, insertion order / row ids,
+//! planning, closure chains, batch tier) must produce a database
+//! byte-identical — tuples, insertion order / row ids,
 //! provenance — to the reference oracle (`EngineOptions::oracle`:
 //! textual literal order, step machine). Every case runs with provenance
 //! on, which keeps production on the tuple closures, and off, which lets
@@ -252,13 +252,11 @@ fn run_once(
     facts: (u64, u64),
     provenance: bool,
     oracle: bool,
-    threads: usize,
 ) -> Vec<String> {
     let program =
         Program::parse(src).unwrap_or_else(|e| panic!("generated program invalid: {e}\n{src}"));
     let options = EngineOptions {
         oracle,
-        threads,
         provenance,
         ..EngineOptions::default()
     };
@@ -272,23 +270,21 @@ fn run_once(
     full_snapshot(&db)
 }
 
-/// Production at threads 1/2/8 against the oracle at threads 1, with
-/// provenance on (tuple closures) and off (batch tier where ready).
+/// Production against the oracle, with provenance on (tuple closures)
+/// and off (batch tier where ready).
 fn assert_executors_agree(src: &str, seed: u64, facts: (u64, u64)) {
     for provenance in [true, false] {
-        let reference = run_once(src, seed, facts, provenance, true, 1);
+        let reference = run_once(src, seed, facts, provenance, true);
         assert!(
             !reference.is_empty(),
             "seed {seed}: generated program derived nothing\n{src}"
         );
-        for threads in [1, 2, 8] {
-            let got = run_once(src, seed, facts, provenance, false, threads);
-            assert_eq!(
-                got, reference,
-                "seed {seed}: production at threads={threads} provenance={provenance} \
-                 diverged from the oracle\n{src}"
-            );
-        }
+        let got = run_once(src, seed, facts, provenance, false);
+        assert_eq!(
+            got, reference,
+            "seed {seed}: production with provenance={provenance} \
+             diverged from the oracle\n{src}"
+        );
     }
 }
 
@@ -370,7 +366,7 @@ fn empty_selection_derives_nothing_identically() {
     // empty everywhere (weights are 0..17).
     for facts in [(10, 40), (60, 1024), (60, 3000)] {
         assert_executors_agree(src, 7, facts);
-        let snap = run_once(src, 7, facts, false, false, 1);
+        let snap = run_once(src, 7, facts, false, false);
         assert!(
             snap.iter().all(|row| !row.starts_with("dead[")),
             "impossible filter derived rows"
@@ -405,11 +401,9 @@ proptest! {
         let (name, generate, _) = GENERATORS[which];
         let src = generate(&mut Rng(program_seed));
         for provenance in [true, false] {
-            let reference = run_once(&src, fact_seed, FACTS, provenance, true, 1);
-            let production = run_once(&src, fact_seed, FACTS, provenance, false, 1);
+            let reference = run_once(&src, fact_seed, FACTS, provenance, true);
+            let production = run_once(&src, fact_seed, FACTS, provenance, false);
             prop_assert_eq!(&reference, &production, "{}: production diverged from the oracle:\n{}", name, src);
-            let parallel = run_once(&src, fact_seed, FACTS, provenance, false, 8);
-            prop_assert_eq!(&reference, &parallel, "{}: parallel production diverged:\n{}", name, src);
         }
     }
 }

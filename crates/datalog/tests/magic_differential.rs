@@ -5,17 +5,15 @@
 //! shapes (left-/right-/doubly-recursive closure, same-generation, a
 //! non-recursive join layer), and a random goal pattern (bound-first,
 //! bound-second, fully bound, all-free, sometimes over a constant that no
-//! fact mentions). For every thread count the canonical rows of
-//! [`Engine::query`] must be byte-identical to filtering the goal out of a
+//! fact mentions). The canonical rows of [`Engine::query`] must be
+//! byte-identical to filtering the goal out of a
 //! full fixpoint with [`goal_matches`]. The generated programs are plain
 //! Datalog — single-headed, negation-free, aggregate-free — so every
 //! non-all-free pattern is demandable, and the test asserts `demanded` to
 //! catch silent fallbacks.
 
-use datalog::{goal_matches, Database, Engine, EngineOptions, Program, Query};
+use datalog::{goal_matches, Database, Engine, Program, Query};
 use proptest::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Program shapes over an `e/2` edge relation. `goal_preds` lists the
 /// intensional predicates (all binary) a goal may target.
@@ -103,26 +101,22 @@ proptest! {
         let q = Query::parse(&goal).expect("valid goal");
         let base = edge_db(&edges);
 
-        for threads in THREADS {
-            let options = EngineOptions { threads, ..EngineOptions::default() };
-            let engine = Engine::with(&program, Default::default(), options)
-                .expect("compiles");
+        let engine = Engine::new(&program).expect("compiles");
 
-            let mut full = base.clone();
-            engine.run(&mut full).expect("full fixpoint");
-            let reference = goal_matches(&full, &q);
+        let mut full = base.clone();
+        engine.run(&mut full).expect("full fixpoint");
+        let reference = goal_matches(&full, &q);
 
-            let answer = engine.query(&base, &goal).expect("goal-directed run");
-            prop_assert_eq!(
-                &answer.rows, &reference,
-                "goal `{}` diverged (shape {}, threads {}, demanded={}, fallback={:?})",
-                goal, shape_ix, threads, answer.demanded, answer.fallback_reason
-            );
-            prop_assert_eq!(
-                answer.demanded, bound,
-                "goal `{}` took the wrong path (shape {}, fallback={:?})",
-                goal, shape_ix, answer.fallback_reason
-            );
-        }
+        let answer = engine.query(&base, &goal).expect("goal-directed run");
+        prop_assert_eq!(
+            &answer.rows, &reference,
+            "goal `{}` diverged (shape {}, demanded={}, fallback={:?})",
+            goal, shape_ix, answer.demanded, answer.fallback_reason
+        );
+        prop_assert_eq!(
+            answer.demanded, bound,
+            "goal `{}` took the wrong path (shape {}, fallback={:?})",
+            goal, shape_ix, answer.fallback_reason
+        );
     }
 }

@@ -82,15 +82,12 @@ impl std::error::Error for ServeError {}
 pub struct ServiceConfig {
     /// Program name reported by `stats` (e.g. `control`).
     pub name: String,
-    /// Worker threads of the engines (0 = resolve via `VADALINK_THREADS`).
-    pub threads: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             name: "program".into(),
-            threads: 1,
         }
     }
 }
@@ -207,20 +204,16 @@ impl GraphService {
         cfg: ServiceConfig,
         make_registry: impl Fn() -> FunctionRegistry,
     ) -> Result<Self, DatalogError> {
-        let opts = EngineOptions {
-            threads: cfg.threads,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with(program, make_registry(), opts.clone())?;
+        let engine = Engine::with(program, make_registry(), EngineOptions::default())?;
         let explain_engine = Engine::with(
             program,
             make_registry(),
             EngineOptions {
                 provenance: true,
-                ..opts.clone()
+                ..EngineOptions::default()
             },
         )?;
-        let session_engine = Engine::with(program, make_registry(), opts)?;
+        let session_engine = Engine::with(program, make_registry(), EngineOptions::default())?;
         let session = IncrementalEngine::with(session_engine, db)?;
         let registry = EpochRegistry::new(session.db().clone());
 

@@ -159,15 +159,8 @@ fn serve_figure(
     let mut db = Database::new();
     load_facts(&f.graph, &mut db);
     setup(f, &mut db);
-    let svc = GraphService::new(
-        &program,
-        db,
-        ServiceConfig {
-            name: name.into(),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("service opens");
+    let svc = GraphService::new(&program, db, ServiceConfig { name: name.into() })
+        .expect("service opens");
     let server = Server::spawn(Arc::new(svc), "127.0.0.1:0").expect("bind");
     let client = Client::connect(server.addr()).expect("connect");
     (server, client)
@@ -303,7 +296,6 @@ fn golden_partner_transcript() {
         db,
         ServiceConfig {
             name: "partner".into(),
-            ..ServiceConfig::default()
         },
         || {
             let mut reg = datalog::FunctionRegistry::default();

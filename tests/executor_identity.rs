@@ -6,7 +6,7 @@
 //! evaluates company control and close links on a generated register with
 //! both and compares every relation's canonical dump. The per-crate
 //! `executor_differential` suites check the stronger byte image (row ids,
-//! provenance, threads 1/2/8) on more programs.
+//! provenance) on more programs.
 
 use vada_link_suite::datalog::{Const, Database, Engine, EngineOptions, Program};
 use vada_link_suite::gen::company::{generate, CompanyGraphConfig};
