@@ -33,6 +33,8 @@
 //! per batch size, incremental update latency, full-recompute time, the
 //! speedup, and the number of changed facts.
 
+#![forbid(unsafe_code)]
+
 use bench::compile_bench::{
     render_compile_json, run_compile_bench, run_kernel_bench, validate_compile_json, CompileConfig,
 };

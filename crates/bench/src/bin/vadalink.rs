@@ -68,6 +68,8 @@
 //! and print the usage summary to stderr; `--help`/`-h` prints it to
 //! stdout and exits 0.
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;

@@ -13,8 +13,10 @@
 //! | Figure 4(e) — recall vs cluster count | [`experiments::exp_fig4e`] |
 //! | Ablations (DESIGN.md) | [`experiments::exp_ablations`] |
 //!
-//! The `repro` binary drives them from the command line; the Criterion
-//! benches in `benches/` wrap representative points of each series.
+//! The `repro` binary drives them from the command line
+//! (`repro --exp <name>`); it is the crate's only timing harness.
+
+#![forbid(unsafe_code)]
 
 pub mod bench_json;
 pub mod compile_bench;

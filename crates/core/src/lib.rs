@@ -40,6 +40,8 @@
 //! assert!(control.iter().any(|&(x, y)| x == p && y == d));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod augment;
 pub mod candidates;
 pub mod closelink;

@@ -8,9 +8,9 @@
 //! batch-at-a-time instead: fixed-width batches of row indices (one
 //! array per joined slot) refined by a *selection vector*, with
 //! filters/compares running over packed column slices through the
-//! [`kernels`](super::kernels) (scalar by default, SIMD under the `simd`
-//! feature). Variables never materialize — each variable is resolved at
-//! lowering time to the column or computed slot that defines it.
+//! [`kernels`](super::kernels). Variables never materialize — each
+//! variable is resolved at lowering time to the column or computed slot
+//! that defines it.
 //!
 //! ## Byte-identity
 //!
@@ -20,7 +20,7 @@
 //! through the remaining steps *before* generating more rows, so the
 //! emitted `Derived` sequence — and with it every downstream row id —
 //! is identical to the closure chain's. The differential suites enforce
-//! this with the `simd` feature on and off.
+//! this against the reference oracle.
 //!
 //! ## Fallback rules
 //!

@@ -5,9 +5,8 @@
 //! `Ord` impl's rank/variant matching per element. The batch executor
 //! instead *packs* each operand lane into a `(rank: u8, key: u64)` pair
 //! whose lexicographic unsigned order equals the engine's total `Const`
-//! order, then filters a whole batch with branch-free compares over the
-//! packed arrays — scalar by default, AVX2 under the `simd` cargo
-//! feature (runtime-detected, same results bit for bit).
+//! order, then filters a whole batch with one tight compare loop over
+//! the packed arrays.
 //!
 //! The packing is *exact* except for one corner: `Const::cmp` compares
 //! `Int`/`Int` with exact `i64` arithmetic but `Int`/`Float` through an
@@ -86,25 +85,6 @@ pub(crate) fn select_cmp(
     kb: &[u64],
     out: &mut Vec<u32>,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was runtime-detected.
-        unsafe { avx2::select_cmp(op, ra, ka, rb, kb, out) };
-        return;
-    }
-    select_cmp_scalar(op, ra, ka, rb, kb, out);
-}
-
-/// Scalar batch kernel: the always-on default and the differential
-/// reference the SIMD variant must match lane for lane.
-pub(crate) fn select_cmp_scalar(
-    op: CmpOp,
-    ra: &[u8],
-    ka: &[u64],
-    rb: &[u8],
-    kb: &[u64],
-    out: &mut Vec<u32>,
-) {
     debug_assert!(ra.len() == ka.len() && rb.len() == kb.len() && ka.len() == kb.len());
     for i in 0..ka.len() {
         let lt = (ra[i], ka[i]) < (rb[i], kb[i]);
@@ -112,97 +92,6 @@ pub(crate) fn select_cmp_scalar(
         if holds(op, lt, eq) {
             out.push(i as u32);
         }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) mod avx2 {
-    //! AVX2 lanes of the batch compare: four packed `(rank, key)` pairs
-    //! per step. Unsigned 64-bit order comes from the classic sign-bias
-    //! trick (`x ^ 1<<63` turns `cmpgt_epi64` into an unsigned compare);
-    //! ranks are widened to u64 lanes so one pair of vector compares
-    //! yields the lexicographic `lt`/`eq` masks.
-
-    use super::holds;
-    use crate::ast::CmpOp;
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2 detection, cached after the first query.
-    pub(crate) fn available() -> bool {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn select_cmp(
-        op: CmpOp,
-        ra: &[u8],
-        ka: &[u64],
-        rb: &[u8],
-        kb: &[u64],
-        out: &mut Vec<u32>,
-    ) {
-        let n = ka.len();
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_xor_si256(
-                _mm256_loadu_si256(ka.as_ptr().add(i) as *const __m256i),
-                bias,
-            );
-            let b = _mm256_xor_si256(
-                _mm256_loadu_si256(kb.as_ptr().add(i) as *const __m256i),
-                bias,
-            );
-            let ra_v = _mm256_set_epi64x(
-                ra[i + 3] as i64,
-                ra[i + 2] as i64,
-                ra[i + 1] as i64,
-                ra[i] as i64,
-            );
-            let rb_v = _mm256_set_epi64x(
-                rb[i + 3] as i64,
-                rb[i + 2] as i64,
-                rb[i + 1] as i64,
-                rb[i] as i64,
-            );
-            let rank_eq = _mm256_cmpeq_epi64(ra_v, rb_v);
-            let rank_lt = _mm256_cmpgt_epi64(rb_v, ra_v);
-            let key_eq = _mm256_cmpeq_epi64(a, b);
-            let key_lt = _mm256_cmpgt_epi64(b, a);
-            // Lexicographic: lt ⟺ rank< ∨ (rank= ∧ key<); eq ⟺ rank= ∧ key=.
-            let lt = _mm256_or_si256(rank_lt, _mm256_and_si256(rank_eq, key_lt));
-            let eq = _mm256_and_si256(rank_eq, key_eq);
-            let sel = match op {
-                CmpOp::Eq => eq,
-                CmpOp::Ne => not(eq),
-                CmpOp::Lt => lt,
-                CmpOp::Le => _mm256_or_si256(lt, eq),
-                CmpOp::Gt => not(_mm256_or_si256(lt, eq)),
-                CmpOp::Ge => not(lt),
-            };
-            let mut mask = _mm256_movemask_pd(_mm256_castsi256_pd(sel)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                out.push(i as u32 + lane);
-                mask &= mask - 1;
-            }
-            i += 4;
-        }
-        // Tail lanes (< 4) take the scalar predicate — same ordering math.
-        for j in i..n {
-            let lt = (ra[j], ka[j]) < (rb[j], kb[j]);
-            let eq = ra[j] == rb[j] && ka[j] == kb[j];
-            if holds(op, lt, eq) {
-                out.push(j as u32);
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn not(v: __m256i) -> __m256i {
-        _mm256_xor_si256(v, _mm256_set1_epi64x(-1))
     }
 }
 
@@ -272,10 +161,10 @@ mod tests {
             prop_assert_eq!((ra, ka).cmp(&(rb, kb)), a.cmp(&b));
         }
 
-        /// The scalar kernel agrees with per-lane `compare` on exact
-        /// batches, for every operator.
+        /// The kernel agrees with per-lane `compare` on exact batches,
+        /// for every operator.
         #[test]
-        fn scalar_kernel_matches_compare(
+        fn kernel_matches_compare(
             pairs in prop::collection::vec((0u8..6, any::<u64>(), 0u8..6, any::<u64>()), 0..40),
         ) {
             let (mut ra, mut ka) = (Vec::new(), Vec::new());
@@ -286,7 +175,7 @@ mod tests {
             pack_lanes(&bv, &mut rb, &mut kb);
             for op in OPS {
                 let mut got = Vec::new();
-                select_cmp_scalar(op, &ra, &ka, &rb, &kb, &mut got);
+                select_cmp(op, &ra, &ka, &rb, &kb, &mut got);
                 let want: Vec<u32> = av
                     .iter()
                     .zip(&bv)
@@ -294,25 +183,6 @@ mod tests {
                     .filter(|(_, (a, b))| compare(op, **a, **b))
                     .map(|(i, _)| i as u32)
                     .collect();
-                prop_assert_eq!(&got, &want, "op {:?}", op);
-            }
-        }
-
-        /// The dispatched kernel (SIMD when the feature and hardware
-        /// allow, scalar otherwise) is lane-identical to the scalar
-        /// reference — the differential contract of the `simd` feature.
-        #[test]
-        fn dispatched_kernel_matches_scalar(
-            pairs in prop::collection::vec((0u8..6, any::<u64>(), 0u8..6, any::<u64>()), 0..70),
-        ) {
-            let (mut ra, mut ka) = (Vec::new(), Vec::new());
-            let (mut rb, mut kb) = (Vec::new(), Vec::new());
-            pack_lanes(&pairs.iter().map(|p| mk_const(p.0, p.1)).collect::<Vec<_>>(), &mut ra, &mut ka);
-            pack_lanes(&pairs.iter().map(|p| mk_const(p.2, p.3)).collect::<Vec<_>>(), &mut rb, &mut kb);
-            for op in OPS {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                select_cmp(op, &ra, &ka, &rb, &kb, &mut got);
-                select_cmp_scalar(op, &ra, &ka, &rb, &kb, &mut want);
                 prop_assert_eq!(&got, &want, "op {:?}", op);
             }
         }

@@ -74,12 +74,6 @@ pub struct EngineOptions {
     /// [`AnalysisConfig::permissive`] restores the pre-analyzer behavior
     /// (problems surface at evaluation time, if at all).
     pub analysis: AnalysisConfig,
-    /// Predicates the cost planner should assume are small before any
-    /// statistics exist — the demand (`magic_*`) relations of a
-    /// goal-directed rewrite, whose extent is bounded by the query's
-    /// bindings rather than the database. Set by [`Engine::query`];
-    /// harmless (and useless) for ordinary programs.
-    pub demand_hints: Vec<String>,
     /// Evaluate with the reference oracle instead of the production
     /// pipeline: rule bodies in textual literal order, run by the
     /// [`exec`] step machine over the row store — no cost planning, no
@@ -99,7 +93,6 @@ impl Default for EngineOptions {
             provenance: false,
             apply_post: true,
             analysis: AnalysisConfig::default(),
-            demand_hints: Vec::new(),
             oracle: false,
         }
     }
@@ -274,6 +267,7 @@ impl Engine {
             &self.compiled,
             &self.registry,
             &self.options,
+            &[],
             db,
         )
     }
@@ -301,10 +295,6 @@ impl Engine {
         let stats = if demanded {
             match resolve::compile(&rw.program) {
                 Ok(compiled) => {
-                    let mut options = self.options.clone();
-                    options.demand_hints = rw.magic_preds.clone();
-                    // The rewrite already re-ran the analyzer.
-                    options.analysis = AnalysisConfig::permissive();
                     // The scratch copy carries rows only for relations the
                     // rewritten program can observe — the goal's cone plus
                     // the answer relation. Attribute tables outside the
@@ -313,7 +303,14 @@ impl Engine {
                     let mut keep = mentioned_preds(&rw.program);
                     keep.insert(result_pred.clone());
                     work = db.scratch_for(&keep);
-                    run_compiled(&rw.program, &compiled, &self.registry, &options, &mut work)?
+                    run_compiled(
+                        &rw.program,
+                        &compiled,
+                        &self.registry,
+                        &self.options,
+                        &rw.magic_preds,
+                        &mut work,
+                    )?
                 }
                 Err(e) => {
                     demanded = false;
@@ -419,11 +416,18 @@ fn mentioned_preds(program: &Program) -> FxHashSet<String> {
 /// [`Engine::run`] and the goal-directed path of [`Engine::query`], which
 /// evaluates a rewritten program with the engine's own registry and
 /// options without constructing a second engine.
+///
+/// `demand_hints` names the predicates the cost planner should assume
+/// are small before any statistics exist: the demand (`magic_*`)
+/// relations of a goal-directed rewrite, whose extent is bounded by the
+/// query's bindings rather than the database. [`Engine::run`] passes
+/// none.
 pub(crate) fn run_compiled(
     program: &Program,
     compiled: &CompiledProgram,
     registry: &FunctionRegistry,
     options: &EngineOptions,
+    demand_hints: &[String],
     db: &mut Database,
 ) -> Result<RunStats> {
     let start = Instant::now();
@@ -433,8 +437,7 @@ pub(crate) fn run_compiled(
             rel.set_track_prov(true);
         }
     }
-    let demand: FxHashSet<u32> = options
-        .demand_hints
+    let demand: FxHashSet<u32> = demand_hints
         .iter()
         .filter_map(|name| db.find_pred(name))
         .collect();
@@ -476,7 +479,7 @@ pub(crate) fn run_compiled(
 /// every rule in `stratum` naively, later rounds once per (rule,
 /// in-stratum delta literal). Extracted from [`Engine::run`] so the
 /// incremental-maintenance subsystem ([`crate::incr`]) can replay a rule
-/// subset (a dependency unit, or a whole stratum) with its own aggregate
+/// subset (one dependency unit) with its own aggregate
 /// store; the behavior — canonical per-round insertion order, growth-
 /// triggered replanning, budgets — is exactly the engine's.
 #[allow(clippy::too_many_arguments)]

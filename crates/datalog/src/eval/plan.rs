@@ -171,8 +171,8 @@ impl PredStats {
 pub(crate) struct StratumStats {
     preds: FxHashMap<u32, PredStats>,
     /// Demand (`magic_*`) predicates of a goal-directed rewrite: known to
-    /// stay small before any rows exist to measure
-    /// ([`crate::eval::EngineOptions::demand_hints`]).
+    /// stay small before any rows exist to measure (the `demand_hints`
+    /// that [`crate::eval::Engine::query`] passes to `run_compiled`).
     pub demand: FxHashSet<u32>,
 }
 

@@ -68,7 +68,7 @@ pub struct UpdateStats {
     pub counting_units: usize,
     /// Units maintained by delete-and-rederive.
     pub dred_units: usize,
-    /// Units (or whole strata) re-run through the engine.
+    /// Units re-run through the engine.
     pub replayed_units: usize,
     /// Units skipped because no input of theirs changed.
     pub skipped_units: usize,
@@ -108,8 +108,6 @@ pub struct SessionInfo {
     pub dred_units: usize,
     /// Units replayed standalone.
     pub replay_units: usize,
-    /// Units replayed jointly with their stratum.
-    pub stratum_replay_units: usize,
     /// True when every update recomputes from scratch (subsumption
     /// fallback).
     pub full_fallback: bool,
@@ -211,7 +209,6 @@ impl IncrementalEngine {
                 Mode::Counting => info.counting_units += 1,
                 Mode::DRed => info.dred_units += 1,
                 Mode::Replay => info.replay_units += 1,
-                Mode::StratumReplay => info.stratum_replay_units += 1,
             }
         }
         info
@@ -432,44 +429,8 @@ impl IncrementalEngine {
         changed: &mut FxHashMap<u32, PredDelta>,
         stats: &mut UpdateStats,
     ) -> Result<()> {
-        let mut done = vec![false; self.graph.units.len()];
         for i in 0..self.graph.units.len() {
-            if done[i] {
-                continue;
-            }
-            done[i] = true;
             match self.graph.units[i].mode {
-                Mode::StratumReplay => {
-                    let stratum = self.graph.units[i].stratum;
-                    let members: Vec<usize> = (0..self.graph.units.len())
-                        .filter(|&j| self.graph.units[j].stratum == stratum)
-                        .collect();
-                    for &m in &members {
-                        done[m] = true;
-                    }
-                    if !members
-                        .iter()
-                        .any(|&m| self.graph.units[m].reads_any(changed))
-                    {
-                        stats.skipped_units += members.len();
-                        continue;
-                    }
-                    let rules: Vec<usize> = {
-                        let mut rs: Vec<usize> = members
-                            .iter()
-                            .flat_map(|&m| self.graph.units[m].rules.iter().copied())
-                            .collect();
-                        rs.sort_unstable();
-                        rs
-                    };
-                    let preds: Vec<u32> = members
-                        .iter()
-                        .flat_map(|&m| self.graph.units[m].preds.iter().copied())
-                        .collect();
-                    let deltas = self.replay_scope(&rules, &preds, stratum)?;
-                    merge_deltas(changed, deltas);
-                    stats.replayed_units += members.len();
-                }
                 Mode::Replay => {
                     if !self.graph.units[i].reads_any(changed) {
                         stats.skipped_units += 1;

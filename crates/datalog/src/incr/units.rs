@@ -1,13 +1,13 @@
 //! Dependency units and maintenance-mode classification.
 //!
-//! Strata (negation levels) are too coarse for incremental maintenance:
-//! the close-link program is a single stratum holding two very different
-//! components — the order-sensitive `acc_own` aggregation and the pure
-//! recursive `close_link` join. The *unit graph* refines each stratum into
-//! the strongly connected components of the predicate dependency graph,
-//! topologically ordered, and classifies every unit into the cheapest
-//! maintenance strategy that is still guaranteed to reproduce a
-//! from-scratch run on the post-update database:
+//! The close-link program holds two very different components — the
+//! order-sensitive `acc_own` aggregation and the pure recursive
+//! `close_link` join — and each deserves its own maintenance strategy.
+//! The *unit graph* splits a program into the strongly connected
+//! components of the predicate dependency graph, topologically ordered,
+//! and classifies every unit into the cheapest maintenance strategy that
+//! is still guaranteed to reproduce a from-scratch run on the post-update
+//! database:
 //!
 //! * [`Mode::Counting`] — non-recursive pure unit: exact derivation
 //!   counts, deletions are count decrements (Gupta–Mumick).
@@ -17,10 +17,12 @@
 //!   that feeds one: its relations are cleared and its rules re-run
 //!   through the engine's own stratum loop, which reproduces the baseline
 //!   byte-for-byte because its inputs are byte-identical.
-//! * [`Mode::StratumReplay`] — a replayed unit reads a predicate derived
-//!   elsewhere in its own stratum: standalone replay would see the final
-//!   state where the baseline fixpoint interleaved partial states, so the
-//!   whole stratum is replayed jointly instead.
+//!
+//! Replaying one unit on its own is exact because a unit never reads
+//! another unit of its stratum: `resolve::compile` puts every
+//! cross-component dependency on a new level, so each input of a unit has
+//! converged before the unit's stratum starts, in the baseline as in the
+//! replay.
 //!
 //! Classification can also conclude that no incremental strategy is safe
 //! ([`UnitGraph::fallback_full`]): `@post` compaction discards the
@@ -46,8 +48,6 @@ pub(crate) enum Mode {
     DRed,
     /// Clear and re-run the unit's rules through the engine.
     Replay,
-    /// Re-run the whole stratum jointly (intra-stratum coupling).
-    StratumReplay,
 }
 
 /// One strongly connected component of the predicate dependency graph,
@@ -282,18 +282,14 @@ pub(crate) fn build_units(
             Mode::Counting
         };
     }
-    // Escalation fixpoint. (a) Taint: the inputs of a replayed scope must
-    // match the baseline byte-for-byte (contents *and* row order) or its
-    // aggregate totals can drift by float-accumulation order — so any
-    // derived input of a replayed unit is itself replayed. (b) Intra-
-    // stratum coupling: a replayed unit reading a predicate derived by a
-    // *different* unit of the same stratum would see its final state where
-    // the baseline interleaved partial states — replay the whole stratum
-    // jointly.
+    // Taint fixpoint: the inputs of a replayed unit must match the
+    // baseline byte-for-byte (contents *and* row order) or its aggregate
+    // totals can drift by float-accumulation order — so any derived input
+    // of a replayed unit is itself replayed.
     loop {
         let mut changed = false;
         for i in 0..units.len() {
-            if !matches!(units[i].mode, Mode::Replay | Mode::StratumReplay) {
+            if units[i].mode != Mode::Replay {
                 continue;
             }
             let inputs: Vec<u32> = units[i]
@@ -304,18 +300,16 @@ pub(crate) fn build_units(
                 .collect();
             for p in inputs {
                 if let Some(&j) = unit_of_pred.get(&p) {
-                    if !matches!(units[j].mode, Mode::Replay | Mode::StratumReplay) {
+                    // Standalone replay sees its inputs' final state; that
+                    // is what the baseline saw only if they converged in an
+                    // earlier stratum (see the module docs).
+                    debug_assert_ne!(
+                        units[j].stratum, units[i].stratum,
+                        "a replayed unit reads a unit of its own stratum"
+                    );
+                    if units[j].mode != Mode::Replay {
                         units[j].mode = Mode::Replay;
                         changed = true;
-                    }
-                    if units[j].stratum == units[i].stratum && j != i {
-                        let s = units[i].stratum;
-                        for u in units.iter_mut().filter(|u| u.stratum == s) {
-                            if u.mode != Mode::StratumReplay {
-                                u.mode = Mode::StratumReplay;
-                                changed = true;
-                            }
-                        }
                     }
                 }
             }
@@ -539,11 +533,9 @@ mod tests {
     fn replayed_aggregate_taints_derived_inputs() {
         // The aggregate reads helper, a derived unit: replay correctness
         // needs helper's contents *and row order* to match the baseline,
-        // so the taint escalation replays helper too. (Since strata now
-        // split on every cross-component dependency, helper converges in
-        // an earlier stratum than acc — two units of the same stratum can
-        // never read each other, so the intra-stratum coupling escalation
-        // is a defensive backstop rather than a reachable state here.)
+        // so the taint escalation replays helper too. Strata split on
+        // every cross-component dependency, so helper converges in an
+        // earlier stratum than acc and acc replays on its own.
         let (g, db, _, _) = graph_of(
             "helper(X, Y, W) :- e(X, Y, W), own(X).\n\
              acc(X, V) :- helper(X, _, W), V = msum(W, <X>).",

@@ -49,6 +49,8 @@
 //! assert!(db.contains_str_fact("control", &["a", "c"]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod ast;
 pub mod builtins;

@@ -9,9 +9,7 @@
 //! provenance — to the reference oracle (`EngineOptions::oracle`:
 //! textual literal order, step machine). Every case runs with provenance
 //! on, which keeps production on the tuple closures, and off, which lets
-//! the batch tier run wherever it is ready. Run it again with
-//! `--features simd` to put the explicit SIMD kernels under the same
-//! microscope.
+//! the batch tier run wherever it is ready.
 //!
 //! Three generators feed it, one per production stage:
 //!

@@ -29,6 +29,8 @@
 //! assert_eq!(clusters.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod embedding;
 pub mod kmeans;

@@ -17,6 +17,8 @@
 //!
 //! All generators are seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod ba;
 pub mod company;
 pub mod names;

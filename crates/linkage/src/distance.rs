@@ -246,11 +246,11 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
 const JARO_MAX: usize = 256;
 
 /// Chunked-load padding past the live bytes of the Jaro window buffer:
-/// enough for one full SSE2 vector, and more than the SWAR word needs.
-const JARO_PAD: usize = 16;
+/// one full SWAR word.
+const JARO_PAD: usize = 8;
 
 /// First index in `avail[lo..hi]` whose byte equals `needle` (ASCII, so
-/// never the `0xFF` burn/padding marker). The scalar path is SWAR: eight
+/// never the `0xFF` burn/padding marker), found SWAR-style: eight
 /// window bytes per `u64` load, XOR against the broadcast needle, and
 /// the zero-byte trick `(x - 0x01…) & !x & 0x80…` — borrows only ever
 /// propagate *upward* from a genuine zero byte, so the lowest set high
@@ -262,52 +262,24 @@ fn window_find(
     hi: usize,
     needle: u8,
 ) -> Option<usize> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        // SSE2 is x86_64 baseline: 16 window bytes per compare, match
-        // mask via movemask — no runtime feature detection needed.
-        use core::arch::x86_64::{
-            _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8,
-        };
-        unsafe {
-            let nv = _mm_set1_epi8(needle as i8);
-            let mut p = lo;
-            while p < hi {
-                let v = _mm_loadu_si128(avail.as_ptr().add(p).cast());
-                let mut m = _mm_movemask_epi8(_mm_cmpeq_epi8(v, nv)) as u32;
-                let valid = hi - p;
-                if valid < 16 {
-                    m &= (1u32 << valid) - 1;
-                }
-                if m != 0 {
-                    return Some(p + m.trailing_zeros() as usize);
-                }
-                p += 16;
-            }
+    const LO7: u64 = 0x0101_0101_0101_0101;
+    const HI8: u64 = 0x8080_8080_8080_8080;
+    let bcast = needle as u64 * LO7;
+    let mut p = lo;
+    while p < hi {
+        let w = u64::from_le_bytes(avail[p..p + 8].try_into().expect("8-byte chunk"));
+        let x = w ^ bcast;
+        let mut z = x.wrapping_sub(LO7) & !x & HI8;
+        let valid = hi - p;
+        if valid < 8 {
+            z &= (1u64 << (valid * 8)) - 1;
         }
-        None
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        const LO7: u64 = 0x0101_0101_0101_0101;
-        const HI8: u64 = 0x8080_8080_8080_8080;
-        let bcast = needle as u64 * LO7;
-        let mut p = lo;
-        while p < hi {
-            let w = u64::from_le_bytes(avail[p..p + 8].try_into().expect("8-byte chunk"));
-            let x = w ^ bcast;
-            let mut z = x.wrapping_sub(LO7) & !x & HI8;
-            let valid = hi - p;
-            if valid < 8 {
-                z &= (1u64 << (valid * 8)) - 1;
-            }
-            if z != 0 {
-                return Some(p + (z.trailing_zeros() as usize >> 3));
-            }
-            p += 8;
+        if z != 0 {
+            return Some(p + (z.trailing_zeros() as usize >> 3));
         }
-        None
+        p += 8;
     }
+    None
 }
 
 /// Jaro similarity in `[0, 1]`.
@@ -315,8 +287,8 @@ fn window_find(
 /// ASCII pairs up to [`JARO_MAX`] bytes run allocation-free: the second
 /// string lives in a stack buffer whose matched positions are burned to
 /// `0xFF` (never an ASCII byte), so the match-window scan is a pure
-/// first-equal-byte search that [`window_find`] runs eight (SWAR) or
-/// sixteen (SSE2, under the `simd` feature) bytes at a time.
+/// first-equal-byte search that [`window_find`] runs eight bytes (one
+/// SWAR word) at a time.
 /// Transpositions are counted streaming (the reference's match list,
 /// sorted by `i`, is exactly the discovery order, so adjacent descents
 /// can be counted on the fly). Result is bit-identical to

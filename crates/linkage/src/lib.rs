@@ -19,6 +19,8 @@
 //!   deterministic pair order, so results are bit-identical for any
 //!   thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod bayes;
 pub mod blocking;
 pub mod distance;

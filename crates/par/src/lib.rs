@@ -22,6 +22,8 @@
 //! `crossbeam::thread::scope`) let workers borrow the caller's data without
 //! `Arc` or `'static` bounds; no work-stealing runtime is involved.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 use std::ops::Range;
 use std::panic::resume_unwind;

@@ -21,6 +21,8 @@
 //! This store plays the role Neo4j played in the paper's deployment: the
 //! extensional component of the knowledge graph.
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod csr;
 pub mod graph;

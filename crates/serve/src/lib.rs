@@ -33,6 +33,8 @@
 //! concurrency differential suite (`tests/concurrency_differential.rs`)
 //! enforces this under concurrent writers at 1/2/8 reader threads.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod epoch;
 pub mod json;

@@ -22,6 +22,8 @@
 //! 0.80 / 0.81× at 2 / 4 / 8 shards (`BENCH_store.json` as of PR 8) — so
 //! it went; do not rebuild it without a multi-core measurement above 1×.
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod snapshot;
 #[allow(clippy::module_inception)]

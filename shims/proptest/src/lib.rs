@@ -15,6 +15,8 @@
 //! subset actually used in this workspace: a single `.` or `[...]` character
 //! class followed by an optional `{n}` / `{m,n}` repetition.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 

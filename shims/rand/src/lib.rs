@@ -9,6 +9,8 @@
 //! `rand`, but every consumer in this workspace only relies on seeded
 //! determinism and statistical quality, never on exact upstream streams.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level generator interface: everything derives from `next_u64`.

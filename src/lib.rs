@@ -13,6 +13,8 @@
 //! * [`vada_link`] — the VADA-LINK framework (mappings, augmentation loop,
 //!   company control, close links, family detection).
 
+#![forbid(unsafe_code)]
+
 pub use datalog;
 pub use embed;
 pub use gen;
