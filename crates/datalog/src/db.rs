@@ -128,6 +128,12 @@ pub struct ProvEntry {
     pub parents: Vec<(u32, u32)>,
 }
 
+impl ProvEntry {
+    /// Parent row of a premise that a `@post` compaction removed: its
+    /// tuple is gone, only its predicate is known.
+    pub const COMPACTED: u32 = u32::MAX;
+}
+
 /// Frozen column-major image of a relation: one contiguous strip per
 /// column, plus CSR-style adjacency lists for the probe keys the
 /// compiled plans use (single- or multi-column). Built by
@@ -390,6 +396,27 @@ impl Relation {
         self.track_prov = on;
         if on && self.prov.len() < self.tuples.len() {
             self.prov.resize(self.tuples.len(), None);
+        }
+    }
+
+    /// Whether provenance is being recorded.
+    pub(crate) fn tracks_prov(&self) -> bool {
+        self.track_prov
+    }
+
+    /// Rewrites every parent pointer into relation `pred` through `remap`
+    /// (old row id → new row id); a row past its end maps to
+    /// [`ProvEntry::COMPACTED`].
+    pub(crate) fn remap_parents(&mut self, pred: u32, remap: &[u32]) {
+        for entry in self.prov.iter_mut().flatten() {
+            for (pp, row) in &mut entry.parents {
+                if *pp == pred {
+                    *row = remap
+                        .get(*row as usize)
+                        .copied()
+                        .unwrap_or(ProvEntry::COMPACTED);
+                }
+            }
         }
     }
 

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::analysis::{adorn, analyze_with, AnalysisConfig};
 use crate::ast::{Directive, Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
-use crate::db::{Database, Relation};
+use crate::db::{Database, ProvEntry, Relation};
 use crate::error::{DatalogError, Result};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::{Const, Tuple};
@@ -65,8 +65,9 @@ pub struct EngineOptions {
     pub epsilon: f64,
     /// Record provenance for derived facts (enables explanations).
     pub provenance: bool,
-    /// Apply `@post` directives and auto-compaction of aggregate predicates
-    /// after the fixpoint.
+    /// Apply `@post` directives and auto-compaction of aggregate
+    /// predicates: when the predicate's stratum converges if every reader
+    /// outside it is subsumption-safe, after the fixpoint otherwise.
     pub apply_post: bool,
     /// Static-analysis configuration applied at engine construction.
     /// With the default config, programs carrying error-level diagnostics
@@ -175,7 +176,7 @@ impl Engine {
         &self.options
     }
 
-    /// The name-level compilation output (strata, auto-post list).
+    /// The name-level compilation output (strata, compactions).
     pub(crate) fn compiled(&self) -> &CompiledProgram {
         &self.compiled
     }
@@ -202,7 +203,8 @@ impl Engine {
 
     /// Renders the execution plans the engine would choose for `db`:
     /// per stratum and rule, the literal order, probe keys and estimated
-    /// cardinalities. Estimates reflect the database as given (pre-fixpoint
+    /// cardinalities, then one line per posted predicate saying when it
+    /// is compacted. Estimates reflect the database as given (pre-fixpoint
     /// sizes); in-stratum derived predicates start at their current size.
     /// Under the reference oracle the report shows the identity plans.
     pub fn plan_report(&self, db: &Database) -> Result<String> {
@@ -256,6 +258,23 @@ impl Engine {
                     ri, &rules[ri], rp, vars, &db, executor,
                 ));
             }
+        }
+        // When each posted predicate is compacted; all posts of one
+        // predicate share the timing.
+        let mut reported: Vec<&str> = Vec::new();
+        for post in &self.compiled.posts {
+            if reported.contains(&post.pred.as_str()) {
+                continue;
+            }
+            reported.push(&post.pred);
+            let when = match (post.compacts_at(), post.unsafe_reader) {
+                (Some(si), _) => format!("when stratum {si} converges"),
+                (None, Some(ri)) => format!(
+                    "after the run: rule {ri} reads its value column outside a monotone guard"
+                ),
+                (None, None) => "after the run: no rule derives it".to_owned(),
+            };
+            let _ = writeln!(out, "{}: compacted {when}", post.pred);
         }
         Ok(out)
     }
@@ -445,30 +464,29 @@ pub(crate) fn run_compiled(
     let mut agg = AggStore::default();
     let mut ws = Workspace::default();
 
-    for stratum in &compiled.strata {
+    for (si, stratum) in compiled.strata.iter().enumerate() {
         stats.strata += 1;
         run_stratum(
-            &rules,
-            stratum,
-            stats.strata - 1,
-            db,
-            registry,
-            options,
-            &demand,
-            &mut agg,
-            &mut ws,
-            &mut stats,
+            &rules, stratum, si, db, registry, options, &demand, &mut agg, &mut ws, &mut stats,
         )?;
+        // A posted predicate whose readers are all subsumption-safe is
+        // compacted as soon as its stratum converges, so later strata join
+        // one row per group instead of every intermediate emission
+        // (DESIGN §9, "When a posted predicate is compacted").
+        if options.apply_post {
+            for post in compiled
+                .posts
+                .iter()
+                .filter(|p| p.compacts_at() == Some(si))
+            {
+                apply_post(db, &post.pred, &post.op);
+            }
+        }
     }
 
     if options.apply_post {
-        for (pred, op) in &compiled.auto_post {
-            apply_post(db, pred, op);
-        }
-        for d in &program.directives {
-            if let Directive::Post(pred, op) = d {
-                apply_post(db, pred, op);
-            }
+        for post in compiled.posts.iter().filter(|p| p.compacts_at().is_none()) {
+            apply_post(db, &post.pred, &post.op);
         }
     }
     stats.duration = start.elapsed();
@@ -795,6 +813,10 @@ fn eval_round(
 
 /// Applies a `@post` grouping filter: per grouping of all columns except the
 /// value column, keep only the row with the extremal value.
+///
+/// The survivors are renumbered, so with provenance tracked every parent
+/// pointer into the relation is remapped: to the row's new id when its
+/// exact tuple survived, to [`ProvEntry::COMPACTED`] when it did not.
 pub(crate) fn apply_post(db: &mut Database, pred: &str, op: &PostOp) {
     let Some(p) = db.find_pred(pred) else {
         return;
@@ -837,7 +859,22 @@ pub(crate) fn apply_post(db: &mut Database, pred: &str, op: &PostOp) {
     }
     let mut rows: Vec<Tuple> = best.into_values().collect();
     rows.sort();
+    let old_rows: Vec<Tuple> = if rel.tracks_prov() {
+        rel.rows().map(Tuple::from).collect()
+    } else {
+        Vec::new()
+    };
     db.relations[p as usize].replace_all(rows);
+    if !old_rows.is_empty() {
+        let rel = &db.relations[p as usize];
+        let remap: Vec<u32> = old_rows
+            .iter()
+            .map(|t| rel.find(t).unwrap_or(ProvEntry::COMPACTED))
+            .collect();
+        for r in &mut db.relations {
+            r.remap_parents(p, &remap);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,32 @@ pub(crate) struct CompiledProgram {
     pub strata: Vec<Vec<usize>>,
     /// Stratum of each predicate name.
     pub pred_stratum: HashMap<String, usize>,
-    /// Automatic `@post` compactions for aggregate-only predicates.
-    pub auto_post: Vec<(String, PostOp)>,
+    /// Every compaction in application order: automatic ones for
+    /// aggregate-only predicates (by name), then the `@post` directives.
+    pub posts: Vec<Post>,
+}
+
+/// One compaction of a posted predicate, and when it runs.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Post {
+    pub pred: String,
+    pub op: PostOp,
+    /// Index into [`CompiledProgram::strata`] of the stratum deriving
+    /// `pred`; `None` when no rule derives it.
+    pub stratum: Option<usize>,
+    /// The first rule outside that stratum whose read of `pred` the
+    /// compacted relation does not subsume ([`reader_is_subsumption_safe`],
+    /// checked against every compaction of `pred`).
+    pub unsafe_reader: Option<usize>,
+}
+
+impl Post {
+    /// The stratum whose convergence triggers the compaction, or `None`
+    /// when it waits for the end of the run: an unsafe reader must see
+    /// every intermediate row, and an underived predicate has no stratum.
+    pub fn compacts_at(&self) -> Option<usize> {
+        self.stratum.filter(|_| self.unsafe_reader.is_none())
+    }
 }
 
 fn verr(msg: impl Into<String>) -> DatalogError {
@@ -436,12 +460,154 @@ pub(crate) fn compile(program: &Program) -> Result<CompiledProgram> {
         })
         .collect();
     auto_post.sort_by(|a, b| a.0.cmp(&b.0));
+    let directives = program.directives.iter().filter_map(|d| match d {
+        Directive::Post(p, op) => Some((p.clone(), op.clone())),
+        _ => None,
+    });
+    let named: Vec<(String, PostOp)> = auto_post.into_iter().chain(directives).collect();
+    let posts: Vec<Post> = named
+        .iter()
+        .map(|(pred, op)| {
+            let stratum = strata.iter().position(|s| {
+                s.iter()
+                    .any(|&ri| program.rules[ri].head.iter().any(|h| h.pred == *pred))
+            });
+            let own: &[usize] = stratum.map_or(&[], |s| &strata[s]);
+            // Every compaction of `pred` must subsume the reader.
+            let unsafe_reader = (0..program.rules.len()).find(|ri| {
+                !own.contains(ri)
+                    && named.iter().any(|(p, op)| {
+                        p == pred && !reader_is_subsumption_safe(&program.rules[*ri], pred, op)
+                    })
+            });
+            Post {
+                pred: pred.clone(),
+                op: op.clone(),
+                stratum,
+                unsafe_reader,
+            }
+        })
+        .collect();
 
     Ok(CompiledProgram {
         strata,
         pred_stratum,
-        auto_post,
+        posts,
     })
+}
+
+/// True when `rule`'s use of posted predicate `pred` is subsumed by the
+/// compacted relation: every occurrence's value-column term is a variable
+/// used *only* in direction-compatible comparison guards (`>=` / `>` for
+/// `max`-posted, `<=` / `<` for `min`-posted). Compaction keeps the
+/// extremal row per group, and a monotone aggregate's extremal row is its
+/// last emission, so a reader passes exactly when anything it derives from
+/// an intermediate row it also derives from the surviving one. Such a
+/// reader may read the relation compacted; any other must see every row.
+fn reader_is_subsumption_safe(rule: &Rule, pred: &str, op: &PostOp) -> bool {
+    let (col, keep_max) = match op {
+        PostOp::MaxBy(c) => (*c, true),
+        PostOp::MinBy(c) => (*c, false),
+    };
+    let mut value_vars: Vec<VarId> = Vec::new();
+    for lit in &rule.body {
+        match lit {
+            Literal::Atom(atom) if atom.pred == pred => match atom.terms.get(col) {
+                Some(Term::Var(v)) => value_vars.push(*v),
+                // A constant or missing value column joins on exact
+                // values: intermediates are not subsumed.
+                _ => return false,
+            },
+            Literal::Negated(a) if a.pred == pred => return false,
+            _ => {}
+        }
+    }
+    // Each value variable may appear in exactly one atom position (its
+    // own), nowhere in the head, and only in monotone guards.
+    for &v in &value_vars {
+        let mut atom_occurrences = 0usize;
+        for lit in &rule.body {
+            match lit {
+                Literal::Atom(atom) | Literal::Negated(atom) => {
+                    atom_occurrences += atom.terms.iter().filter(|t| term_uses_var(t, v)).count();
+                }
+                Literal::Cond(e) => {
+                    if expr_uses_var(e, v) && !is_monotone_guard(e, v, keep_max) {
+                        return false;
+                    }
+                }
+                Literal::Let(_, e) => {
+                    if expr_uses_var(e, v) {
+                        return false;
+                    }
+                }
+                Literal::LetAgg(_, agg) => {
+                    if expr_uses_var(&agg.expr, v) || agg.contributors.contains(&v) {
+                        return false;
+                    }
+                }
+                Literal::AggCond { agg, rhs, .. } => {
+                    if expr_uses_var(&agg.expr, v)
+                        || agg.contributors.contains(&v)
+                        || expr_uses_var(rhs, v)
+                    {
+                        return false;
+                    }
+                }
+            }
+        }
+        if atom_occurrences != 1 {
+            return false;
+        }
+        if rule
+            .head
+            .iter()
+            .any(|h| h.terms.iter().any(|t| term_uses_var(t, v)))
+        {
+            return false;
+        }
+    }
+    true
+}
+
+fn term_uses_var(t: &Term, v: VarId) -> bool {
+    let mut vs = Vec::new();
+    term_vars(t, &mut vs);
+    vs.contains(&v)
+}
+
+fn expr_uses_var(e: &Expr, v: VarId) -> bool {
+    let mut vs = Vec::new();
+    expr_vars(e, &mut vs);
+    vs.contains(&v)
+}
+
+/// `v >= e` / `v > e` (max-posted) or `v <= e` / `v < e` (min-posted),
+/// in either orientation, with `v` absent from the other side.
+fn is_monotone_guard(e: &Expr, v: VarId, keep_max: bool) -> bool {
+    use CmpOp::*;
+    let Expr::Cmp(op, a, b) = e else {
+        return false;
+    };
+    let var_left = matches!(**a, Expr::Var(u) if u == v) && !expr_uses_var(b, v);
+    let var_right = matches!(**b, Expr::Var(u) if u == v) && !expr_uses_var(a, v);
+    match (var_left, var_right) {
+        (true, false) => {
+            if keep_max {
+                matches!(op, Gt | Ge)
+            } else {
+                matches!(op, Lt | Le)
+            }
+        }
+        (false, true) => {
+            if keep_max {
+                matches!(op, Lt | Le)
+            } else {
+                matches!(op, Gt | Ge)
+            }
+        }
+        _ => false,
+    }
 }
 
 /// Iterative Tarjan SCC over a small adjacency list.
@@ -867,7 +1033,68 @@ mod tests {
              acc(X, Y, V) :- e(X, Z, W1), acc(Z, Y, W2), V = msum(W1 * W2, <Z>).",
         )
         .unwrap();
-        assert_eq!(c.auto_post, vec![("acc".to_owned(), PostOp::MaxBy(2))]);
+        assert_eq!(
+            c.posts,
+            vec![Post {
+                pred: "acc".to_owned(),
+                op: PostOp::MaxBy(2),
+                stratum: Some(0),
+                unsafe_reader: None,
+            }]
+        );
+    }
+
+    #[test]
+    fn compaction_waits_for_the_run_only_behind_an_unsafe_reader() {
+        let safe = compile_src(
+            "acc(X, V) :- own(X, W), V = msum(W, <X>).\n\
+             big(X) :- acc(X, V), V >= 0.5.",
+        )
+        .unwrap();
+        assert_eq!(safe.posts[0].compacts_at(), Some(0));
+        // `V <= 0.5` on a max-posted aggregate fires on intermediate
+        // emissions the compacted relation no longer holds.
+        let unsafe_reader = compile_src(
+            "acc(X, V) :- own(X, W), V = msum(W, <X>).\n\
+             small(X) :- acc(X, V), V <= 0.5.",
+        )
+        .unwrap();
+        assert_eq!(unsafe_reader.posts[0].unsafe_reader, Some(1));
+        assert_eq!(unsafe_reader.posts[0].compacts_at(), None);
+        // A min-posted aggregate is safe under the opposite guard.
+        let min = compile_src(
+            "low(X, V) :- own(X, W), V = mmin(W, <X>).\n\
+             cheap(X) :- low(X, V), 0.5 >= V.",
+        )
+        .unwrap();
+        assert_eq!(min.posts[0].op, PostOp::MinBy(1));
+        assert_eq!(min.posts[0].compacts_at(), Some(0));
+        // An explicit @post on a relation no rule derives compacts after
+        // the run, whatever reads it.
+        let edb = compile_src(
+            "@post(\"score\", \"max(1)\").\n\
+             top(X) :- score(X, W), W >= 1.0.",
+        )
+        .unwrap();
+        assert_eq!(edb.posts[0].stratum, None);
+        assert_eq!(edb.posts[0].compacts_at(), None);
+    }
+
+    #[test]
+    fn value_column_uses_outside_a_guard_are_unsafe() {
+        let reader_safe = |src: &str| {
+            let c =
+                compile_src(&format!("acc(X, V) :- own(X, W), V = msum(W, <X>).\n{src}")).unwrap();
+            c.posts[0].unsafe_reader.is_none()
+        };
+        assert!(reader_safe("r(X) :- acc(X, V), V > 0.5."));
+        assert!(reader_safe("r(X) :- acc(X, _)."));
+        assert!(!reader_safe("r(X, V) :- acc(X, V)."));
+        assert!(!reader_safe("r(X) :- acc(X, 1.0)."));
+        assert!(!reader_safe("r(X) :- n(X, W), not acc(X, W)."));
+        assert!(!reader_safe("r(X, U) :- acc(X, V), U = V * 2."));
+        assert!(!reader_safe("r(X) :- acc(X, V), acc(X, V)."));
+        assert!(!reader_safe("r(X, S) :- acc(X, V), S = msum(V, <X>)."));
     }
 
     #[test]
@@ -877,7 +1104,7 @@ mod tests {
              acc(X, Y, 1.0) :- direct(X, Y).",
         )
         .unwrap();
-        assert!(c.auto_post.is_empty());
+        assert!(c.posts.is_empty());
     }
 
     #[test]

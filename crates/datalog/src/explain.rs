@@ -11,6 +11,14 @@
 //! past its threshold — one *witness* contributor, not the full contributor
 //! set. This matches Vadalog's fact-level provenance granularity; the other
 //! contributions can be recovered by explaining the premises recursively.
+//!
+//! A premise can be an intermediate row that a `@post` compaction removed
+//! after the fact was derived from it. Only a reader the compacted
+//! relation does not subsume sees such rows: the relation then waits for
+//! the end of the run to compact, while every other reader runs after the
+//! compaction. The premise renders as a `[compacted]` leaf: its tuple is
+//! gone, and citing whichever row now holds its old id would name an
+//! unrelated fact.
 
 use crate::db::Database;
 use crate::value::Const;
@@ -22,6 +30,9 @@ pub struct Derivation {
     pub fact: String,
     /// Index of the rule that derived it (`None` for extensional facts).
     pub rule: Option<u32>,
+    /// True for a premise a `@post` compaction removed: `fact` names only
+    /// its predicate.
+    pub compacted: bool,
     /// Derivations of the parent facts.
     pub premises: Vec<Derivation>,
 }
@@ -41,6 +52,7 @@ impl Derivation {
         out.push_str(&self.fact);
         match self.rule {
             Some(r) => out.push_str(&format!("   [rule {r}]\n")),
+            None if self.compacted => out.push_str("   [compacted]\n"),
             None => out.push_str("   [fact]\n"),
         }
         for p in &self.premises {
@@ -72,26 +84,28 @@ pub fn explain(db: &Database, pred: &str, tuple: &[Const], max_depth: usize) -> 
 
 fn explain_row(db: &Database, pred: u32, row: u32, depth: usize) -> Derivation {
     let rel = &db.relations[pred as usize];
+    // `ProvEntry::COMPACTED`, or any row id the relation no longer has.
+    if row as usize >= rel.len() {
+        return Derivation {
+            fact: format!("{}(…)", db.pred_name(pred)),
+            rule: None,
+            compacted: true,
+            premises: Vec::new(),
+        };
+    }
     let fact = render_fact(db, pred, rel.row(row));
-    match rel.provenance(row) {
-        Some(prov) if depth > 0 => Derivation {
-            fact,
-            rule: Some(prov.rule),
-            premises: prov
+    let prov = rel.provenance(row);
+    Derivation {
+        fact,
+        rule: prov.map(|p| p.rule),
+        compacted: false,
+        premises: match prov {
+            Some(prov) if depth > 0 => prov
                 .parents
                 .iter()
                 .map(|&(pp, pr)| explain_row(db, pp, pr, depth - 1))
                 .collect(),
-        },
-        Some(prov) => Derivation {
-            fact,
-            rule: Some(prov.rule),
-            premises: Vec::new(),
-        },
-        None => Derivation {
-            fact,
-            rule: None,
-            premises: Vec::new(),
+            _ => Vec::new(),
         },
     }
 }
@@ -146,6 +160,51 @@ mod tests {
         let a = db.sym("a");
         assert!(explain(&db, "t", &[a, a], 5).is_none());
         assert!(explain(&db, "nosuch", &[a], 5).is_none());
+    }
+
+    #[test]
+    fn premises_removed_by_a_late_compaction_are_compacted_leaves() {
+        // `V <= 0.5` reads acc's value column against the max direction,
+        // so acc compacts only after the run, under small's provenance.
+        let program = Program::parse(
+            "acc(X, V) :- own(X, Y, W), V = msum(W, <Y>).\n\
+             small(X) :- acc(X, V), V <= 0.5.",
+        )
+        .unwrap();
+        let opts = EngineOptions {
+            provenance: true,
+            ..Default::default()
+        };
+        let engine = Engine::with(&program, FunctionRegistry::default(), opts).unwrap();
+        let mut db = Database::new();
+        // a's running total passes 0.25 and 0.375 on its way to 0.875;
+        // b's only total, 0.375, survives compaction.
+        for (x, y, w) in [
+            ("a", "p", 0.25),
+            ("a", "q", 0.125),
+            ("a", "r", 0.5),
+            ("b", "p", 0.375),
+        ] {
+            db.fact("own").sym(x).sym(y).float(w).assert();
+        }
+        engine.run(&mut db).unwrap();
+        assert_eq!(db.dump("acc"), vec!["a,0.875", "b,0.375"]);
+        let a = db.sym("a");
+        let b = db.sym("b");
+        let d = explain(&db, "small", &[a], 5).expect("small(a) derived");
+        assert_eq!(d.premises.len(), 1);
+        let premise = &d.premises[0];
+        assert!(premise.compacted, "{}", d.render());
+        assert_eq!(premise.fact, "acc(…)");
+        assert!(
+            d.render().contains("acc(…)   [compacted]"),
+            "{}",
+            d.render()
+        );
+        // A premise whose exact tuple survived follows it to its new row.
+        let d = explain(&db, "small", &[b], 5).expect("small(b) derived");
+        assert_eq!(d.premises[0].fact, "acc(b, 0.375)");
+        assert!(!d.premises[0].compacted);
     }
 
     #[test]

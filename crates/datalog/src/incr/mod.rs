@@ -171,7 +171,7 @@ impl IncrementalEngine {
             seed_rows.insert(p, rows);
         }
         engine.run(&mut db)?;
-        let graph = build_units(engine.program(), engine.compiled(), &rules, &db)?;
+        let graph = build_units(engine.compiled(), &rules, &db)?;
         let mut session = IncrementalEngine {
             engine,
             db,

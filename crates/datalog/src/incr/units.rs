@@ -25,18 +25,19 @@
 //! replay.
 //!
 //! Classification can also conclude that no incremental strategy is safe
-//! ([`UnitGraph::fallback_full`]): `@post` compaction discards the
-//! intermediate aggregate emissions a from-scratch run exposes to readers,
-//! so every reader of a posted predicate must use its value column in a
-//! direction-compatible guard (`>=`/`>` for `max`-posted, `<=`/`<` for
-//! `min`-posted) for final-state maintenance to subsume the intermediate
-//! derivations. Programs that fail this check fall back to full
-//! recomputation per update — still correct, never wrong.
+//! ([`UnitGraph::fallback_full`]): a posted predicate with a reader that
+//! uses its value column outside a direction-compatible guard is compacted
+//! only after a from-scratch run, so that reader sees intermediate
+//! aggregate emissions a replay of the compacted unit cannot reproduce.
+//! The check is the engine's own (`resolve::reader_is_subsumption_safe`,
+//! computed once per posted predicate by `resolve::compile`). Programs
+//! that fail it fall back to full recomputation per update — still
+//! correct, never wrong.
 
-use crate::ast::{Directive, PostOp, Program};
+use crate::ast::PostOp;
 use crate::db::Database;
 use crate::error::Result;
-use crate::eval::resolve::{tarjan, CompiledProgram, RExpr, RLiteral, RRule, RTerm};
+use crate::eval::resolve::{tarjan, CompiledProgram, RLiteral, RRule};
 use crate::fx::{FxHashMap, FxHashSet};
 
 /// Maintenance strategy of one unit.
@@ -108,7 +109,6 @@ pub(crate) struct UnitGraph {
 /// Builds and classifies the unit graph. `rules` must be resolved against
 /// `db` (predicates interned).
 pub(crate) fn build_units(
-    program: &Program,
     compiled: &CompiledProgram,
     rules: &[RRule],
     db: &Database,
@@ -255,19 +255,14 @@ pub(crate) fn build_units(
         .collect();
 
     // -- posted predicates (auto-compaction, then explicit @post) --------
-    let mut posted: Vec<(u32, String, PostOp)> = Vec::new();
-    for (name, op) in &compiled.auto_post {
-        if let Some(p) = db.find_pred(name) {
-            posted.push((p, name.clone(), op.clone()));
-        }
-    }
-    for d in &program.directives {
-        if let Directive::Post(name, op) = d {
-            if let Some(p) = db.find_pred(name) {
-                posted.push((p, name.clone(), op.clone()));
-            }
-        }
-    }
+    let posted: Vec<(u32, String, PostOp)> = compiled
+        .posts
+        .iter()
+        .filter_map(|post| {
+            let p = db.find_pred(&post.pred)?;
+            Some((p, post.pred.clone(), post.op.clone()))
+        })
+        .collect();
 
     // -- mode classification ---------------------------------------------
     let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
@@ -320,19 +315,12 @@ pub(crate) fn build_units(
     }
 
     // -- subsumption check for readers of posted predicates --------------
-    let mut fallback_full = false;
-    for (p, _, op) in &posted {
-        let unit = unit_of_pred.get(p).copied();
-        for (ri, rule) in rules.iter().enumerate() {
-            let in_own_unit = unit.is_some_and(|ui| units[ui].rules.contains(&ri));
-            if in_own_unit {
-                continue; // replay regenerates the intermediates
-            }
-            if !reader_is_subsumption_safe(rule, *p, op) {
-                fallback_full = true;
-            }
-        }
-    }
+    // The engine's own compaction timing: a posted predicate with an
+    // unsafe reader outside its stratum (its unit — no other unit of the
+    // stratum reads it) is exactly one whose intermediate emissions a
+    // from-scratch run exposes, which replay of the compacted unit cannot
+    // reproduce.
+    let fallback_full = compiled.posts.iter().any(|p| p.unsafe_reader.is_some());
 
     Ok(UnitGraph {
         units,
@@ -347,128 +335,10 @@ fn min_rule(rules: &[usize]) -> usize {
     rules.iter().copied().min().unwrap_or(usize::MAX)
 }
 
-/// True when `rule`'s use of posted predicate `p` is subsumed by the
-/// compacted final state: every occurrence's value-column term is a
-/// variable used *only* in direction-compatible comparison guards. A
-/// from-scratch run derives through all intermediate aggregate emissions;
-/// compaction keeps the extremal row per group, so a reader passes exactly
-/// when anything derivable from an intermediate row is also derivable from
-/// the surviving one.
-fn reader_is_subsumption_safe(rule: &RRule, p: u32, op: &PostOp) -> bool {
-    let (col, keep_max) = match op {
-        PostOp::MaxBy(c) => (*c, true),
-        PostOp::MinBy(c) => (*c, false),
-    };
-    let mut value_vars: Vec<u32> = Vec::new();
-    let mut reads_p = false;
-    for lit in &rule.body {
-        match lit {
-            RLiteral::Atom { atom } if atom.pred == p => {
-                reads_p = true;
-                match atom.terms.get(col) {
-                    Some(RTerm::Var(v)) => value_vars.push(*v),
-                    // A constant or missing value column joins on exact
-                    // values: intermediates are not subsumed.
-                    _ => return false,
-                }
-            }
-            RLiteral::Negated(a) if a.pred == p => return false,
-            _ => {}
-        }
-    }
-    if !reads_p {
-        return true;
-    }
-    // Each value variable may appear in exactly one atom position (its
-    // own), nowhere in the head, and only in monotone guards.
-    for &v in &value_vars {
-        let mut atom_occurrences = 0usize;
-        for lit in &rule.body {
-            match lit {
-                RLiteral::Atom { atom } | RLiteral::Negated(atom) => {
-                    for t in &atom.terms {
-                        if term_uses_var(t, v) {
-                            atom_occurrences += 1;
-                        }
-                    }
-                }
-                RLiteral::Cond(e) => {
-                    if expr_uses_var(e, v) && !is_monotone_guard(e, v, keep_max) {
-                        return false;
-                    }
-                }
-                RLiteral::Let(_, e) => {
-                    if expr_uses_var(e, v) {
-                        return false;
-                    }
-                }
-                RLiteral::Agg { agg, .. } => {
-                    if expr_uses_var(&agg.expr, v) || agg.contributors.contains(&v) {
-                        return false;
-                    }
-                }
-            }
-        }
-        if atom_occurrences != 1 {
-            return false;
-        }
-        for h in &rule.head {
-            if h.terms.iter().any(|t| term_uses_var(t, v)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn term_uses_var(t: &RTerm, v: u32) -> bool {
-    match t {
-        RTerm::Var(u) => *u == v,
-        RTerm::Const(_) => false,
-        RTerm::Skolem { args, .. } => args.iter().any(|a| term_uses_var(a, v)),
-    }
-}
-
-fn expr_uses_var(e: &RExpr, v: u32) -> bool {
-    match e {
-        RExpr::Var(u) => *u == v,
-        RExpr::Const(_) => false,
-        RExpr::Binary(_, a, b) | RExpr::Cmp(_, a, b) => expr_uses_var(a, v) || expr_uses_var(b, v),
-        RExpr::Call { args, .. } => args.iter().any(|a| expr_uses_var(a, v)),
-    }
-}
-
-/// `v >= e` / `v > e` (max-posted) or `v <= e` / `v < e` (min-posted),
-/// in either orientation, with `v` absent from the other side.
-fn is_monotone_guard(e: &RExpr, v: u32, keep_max: bool) -> bool {
-    use crate::ast::CmpOp::*;
-    let RExpr::Cmp(op, a, b) = e else {
-        return false;
-    };
-    let var_left = matches!(**a, RExpr::Var(u) if u == v) && !expr_uses_var(b, v);
-    let var_right = matches!(**b, RExpr::Var(u) if u == v) && !expr_uses_var(a, v);
-    match (var_left, var_right) {
-        (true, false) => {
-            if keep_max {
-                matches!(op, Gt | Ge)
-            } else {
-                matches!(op, Lt | Le)
-            }
-        }
-        (false, true) => {
-            if keep_max {
-                matches!(op, Lt | Le)
-            } else {
-                matches!(op, Gt | Ge)
-            }
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Program;
     use crate::eval::resolve::{compile, resolve_rules};
 
     fn graph_of(src: &str) -> (UnitGraph, Database, Vec<RRule>, Program) {
@@ -476,7 +346,7 @@ mod tests {
         let compiled = compile(&program).unwrap();
         let mut db = Database::new();
         let rules = resolve_rules(&program, &mut db).unwrap();
-        let g = build_units(&program, &compiled, &rules, &db).unwrap();
+        let g = build_units(&compiled, &rules, &db).unwrap();
         (g, db, rules, program)
     }
 
