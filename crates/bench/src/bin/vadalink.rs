@@ -495,13 +495,16 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
     let s = &cs.stats;
     eprintln!(
         "vadalink: {} inserted, {} deleted in {:.3?} \
-         ({} counting, {} DRed, {} replayed, {} skipped unit(s){})",
+         ({} counting, {} DRed, {} replayed ({} partially, {} partition(s)), \
+         {} skipped unit(s){})",
         cs.inserted.len(),
         cs.deleted.len(),
         s.duration,
         s.counting_units,
         s.dred_units,
         s.replayed_units,
+        s.partial_replays,
+        s.replayed_partitions,
         s.skipped_units,
         if s.full_recompute {
             "; full recompute"

@@ -18,11 +18,17 @@ use crate::value::{Const, Tuple};
 
 /// Interner for string constants.
 ///
-/// Entries are shared `Arc<str>` allocations, so cloning the table — which
-/// [`Engine::query`](crate::Engine::query) does for every scratch copy —
-/// bumps refcounts instead of reallocating every interned string.
+/// The table is shared copy-on-write: cloning it — every serve epoch and
+/// every scratch copy of [`Engine::query`](crate::Engine::query) clones
+/// one — bumps a refcount, and a clone copies the table only when it
+/// interns a string new to it.
 #[derive(Default, Debug, Clone)]
 pub struct SymbolTable {
+    inner: Arc<Interned>,
+}
+
+#[derive(Default, Debug, Clone)]
+struct Interned {
     names: Vec<Arc<str>>,
     index: FxHashMap<Arc<str>, u32>,
 }
@@ -30,34 +36,35 @@ pub struct SymbolTable {
 impl SymbolTable {
     /// Interns a string, returning its symbol id.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
+        if let Some(id) = self.lookup(s) {
             return id;
         }
-        let id = self.names.len() as u32;
+        let inner = Arc::make_mut(&mut self.inner);
+        let id = inner.names.len() as u32;
         let shared: Arc<str> = Arc::from(s);
-        self.names.push(shared.clone());
-        self.index.insert(shared, id);
+        inner.names.push(shared.clone());
+        inner.index.insert(shared, id);
         id
     }
 
     /// Resolves a symbol id to its string.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        &self.inner.names[id as usize]
     }
 
     /// Id of an already-interned string, without interning it.
     pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        self.inner.index.get(s).copied()
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.inner.names.len()
     }
 
     /// True when no symbols are interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.inner.names.is_empty()
     }
 
     /// All interned strings in interning order (id = position). Snapshot
@@ -66,7 +73,7 @@ impl SymbolTable {
     /// (round sorts compare `Const::Sym` by id, and aggregate emission
     /// order follows the sorts).
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.names.iter().map(|n| &**n)
+        self.inner.names.iter().map(|n| &**n)
     }
 }
 
@@ -183,17 +190,23 @@ impl Csr {
     /// layout-agnostic: frozen images read their column strips, the lazy
     /// lookup indexes read the row store directly.
     fn build<K: Iterator<Item = Const>>(width: usize, n: usize, key_at: impl Fn(u32) -> K) -> Csr {
+        // Every row's key, read once into one flat array.
+        let mut flat: Vec<Const> = Vec::with_capacity(n * width);
+        for row in 0..n as u32 {
+            flat.extend(key_at(row));
+        }
+        let key = |row: u32| &flat[row as usize * width..(row as usize + 1) * width];
+        // Ties broken by row id: equal keys keep insertion order —
+        // identical to a hash index's push order.
         let mut rows: Vec<u32> = (0..n as u32).collect();
-        // Stable sort: rows arrive in increasing row id, so equal keys
-        // keep insertion order — identical to a hash index's push order.
-        rows.sort_by(|&a, &b| key_at(a).cmp(key_at(b)));
+        rows.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
         let mut keys: Vec<Const> = Vec::new();
         let mut offsets: Vec<u32> = Vec::new();
         for (at, &row) in rows.iter().enumerate() {
             let prev = keys.len().wrapping_sub(width);
-            if keys.is_empty() || !key_at(row).eq(keys[prev..].iter().copied()) {
+            if keys.is_empty() || key(row) != &keys[prev..] {
                 offsets.push(at as u32);
-                keys.extend(key_at(row));
+                keys.extend_from_slice(key(row));
             }
         }
         offsets.push(n as u32);
@@ -245,7 +258,7 @@ impl Csr {
 }
 
 /// A single relation: deduplicated tuples plus hash indexes.
-#[derive(Default, Debug)]
+#[derive(Default, Debug, Clone)]
 pub struct Relation {
     /// Tuples in insertion order (row id = position).
     tuples: Vec<Tuple>,
@@ -260,35 +273,15 @@ pub struct Relation {
     /// per column, each built by the first lookup that binds the column.
     /// Both levels are `OnceLock`s because readers hold only `&Relation`
     /// (inside an `Arc<Database>` epoch) and N of them racing onto a
-    /// fresh epoch must build once. The cells are behind an `Arc` that
-    /// [`Clone`] shares, so an index serves every copy of these exact
-    /// contents; any mutation detaches from them (see
+    /// fresh epoch must build once. Epochs share the relation itself, so
+    /// an index serves every epoch that leaves it alone; a copy made for
+    /// writing shares the cells until its first mutation detaches it (see
     /// [`Relation::invalidate`]).
     lookup: OnceLock<Arc<[OnceLock<Csr>]>>,
     /// Optional provenance parallel to `tuples`.
     prov: Vec<Option<ProvEntry>>,
     /// Whether provenance is being recorded.
     track_prov: bool,
-}
-
-// Hand-written for `lookup`: a derive would share the cells only when a
-// lookup had already created them, and nothing ever looks up the
-// writer's own database — each epoch is a clone of it. Creating the
-// (empty) cells here makes the clone and the original answer from the
-// same indexes, so an index a reader builds on epoch N is still there in
-// every later epoch that did not touch the relation.
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            tuples: self.tuples.clone(),
-            seen: self.seen.clone(),
-            indexes: self.indexes.clone(),
-            columnar: self.columnar.clone(),
-            lookup: OnceLock::from(self.lookup_cells().clone()),
-            prov: self.prov.clone(),
-            track_prov: self.track_prov,
-        }
-    }
 }
 
 impl Relation {
@@ -423,7 +416,7 @@ impl Relation {
     /// Registers an index over the columns set in `mask` (bit i = column i)
     /// and builds it over the current contents.
     pub(crate) fn register_index(&mut self, mask: u64) {
-        if mask == 0 || self.indexes.contains_key(&mask) {
+        if self.has_index(mask) {
             return;
         }
         let mut index: FxHashMap<Tuple, Vec<u32>> = FxHashMap::default();
@@ -450,10 +443,8 @@ impl Relation {
     /// unchanged and the requested masks are covered; any mutation drops
     /// the image.
     pub(crate) fn freeze_columnar(&mut self, csr_masks: &[u64]) {
-        if let Some(c) = &self.columnar {
-            if csr_masks.iter().all(|m| c.csr.contains_key(m)) {
-                return;
-            }
+        if self.frozen_for(csr_masks) {
+            return;
         }
         let arity = self.tuples.first().map_or(0, |t| t.len());
         let mut cols: Vec<Box<[Const]>> = Vec::with_capacity(arity);
@@ -477,6 +468,20 @@ impl Relation {
             csr.insert(mask, csr_for);
         }
         self.columnar = Some(Arc::new(Columnar { cols, csr }));
+    }
+
+    /// True when a current frozen image covers every mask in `csr_masks`,
+    /// i.e. [`Relation::freeze_columnar`] would change nothing.
+    pub(crate) fn frozen_for(&self, csr_masks: &[u64]) -> bool {
+        self.columnar
+            .as_ref()
+            .is_some_and(|c| csr_masks.iter().all(|m| c.csr.contains_key(m)))
+    }
+
+    /// True when a hash index over `mask` is registered (or `mask` is 0),
+    /// i.e. [`Relation::register_index`] would change nothing.
+    pub(crate) fn has_index(&self, mask: u64) -> bool {
+        mask == 0 || self.indexes.contains_key(&mask)
     }
 
     /// The frozen columnar image, if current.
@@ -583,6 +588,16 @@ impl Relation {
     }
 }
 
+fn arity_error(pred: &str, arity: usize, previous: usize) -> DatalogError {
+    DatalogError::BadFact(format!(
+        "predicate {pred} used with arity {arity}, previously {previous}"
+    ))
+}
+
+/// A database's relations, indexed by predicate id. Each is shared
+/// copy-on-write between the database and its clones (see [`Database`]).
+pub(crate) type Relations = [Arc<Relation>];
+
 pub(crate) fn key_of(tuple: &[Const], mask: u64) -> Tuple {
     let mut key = Vec::with_capacity(mask.count_ones() as usize);
     for (i, c) in tuple.iter().enumerate() {
@@ -594,6 +609,14 @@ pub(crate) fn key_of(tuple: &[Const], mask: u64) -> Tuple {
 }
 
 /// The fact store: predicates, relations, symbols and Skolem OIDs.
+///
+/// Cloning a database copies its symbol, Skolem and predicate tables
+/// but shares every relation: relations sit behind an `Arc` and are
+/// copied on the first write after a clone ([`Database::relation_mut`],
+/// `Arc::make_mut`). A serve epoch is such a clone of the writer's
+/// database, so publishing one costs the tables, and the next update
+/// copies only the relations it writes; [`Database::shares_relation`]
+/// tells which ones two databases still share.
 #[derive(Default, Debug, Clone)]
 pub struct Database {
     pub(crate) symbols: SymbolTable,
@@ -604,7 +627,7 @@ pub struct Database {
     pred_ids: FxHashMap<Arc<str>, u32>,
     pred_names: Vec<Arc<str>>,
     arities: Vec<Option<usize>>,
-    pub(crate) relations: Vec<Relation>,
+    pub(crate) relations: Vec<Arc<Relation>>,
 }
 
 impl Database {
@@ -639,7 +662,7 @@ impl Database {
                     if keep.contains(&**name) {
                         r.clone()
                     } else {
-                        Relation::default()
+                        Arc::default()
                     }
                 })
                 .collect(),
@@ -705,8 +728,43 @@ impl Database {
         self.pred_names.push(name.clone());
         self.pred_ids.insert(name, id);
         self.arities.push(None);
-        self.relations.push(Relation::default());
+        self.relations.push(Arc::default());
         id
+    }
+
+    /// Appends an unnamed relation holding `rows` — invisible to
+    /// [`Database::find_pred`] — for one scoped evaluation over rules that
+    /// name its id; [`Database::pop_scratch_relation`] removes it again.
+    pub(crate) fn push_scratch_relation(&mut self, rows: impl IntoIterator<Item = Tuple>) -> u32 {
+        let id = self.pred_names.len() as u32;
+        let mut rel = Relation::default();
+        for row in rows {
+            rel.insert(row, None);
+        }
+        self.pred_names.push(Arc::from(""));
+        self.arities.push(None);
+        self.relations.push(Arc::new(rel));
+        id
+    }
+
+    /// Removes the relation the last [`Database::push_scratch_relation`]
+    /// appended.
+    pub(crate) fn pop_scratch_relation(&mut self) {
+        self.pred_names.pop();
+        self.arities.pop();
+        self.relations.pop();
+    }
+
+    /// True when this database and `other` hold the very same copy of
+    /// `pred`'s relation: neither has written it since one was cloned
+    /// from the other.
+    pub fn shares_relation(&self, other: &Database, pred: &str) -> bool {
+        match (self.find_pred(pred), other.find_pred(pred)) {
+            (Some(a), Some(b)) => {
+                Arc::ptr_eq(&self.relations[a as usize], &other.relations[b as usize])
+            }
+            _ => false,
+        }
     }
 
     /// Looks up a predicate id without creating it.
@@ -761,11 +819,13 @@ impl Database {
 
     /// The relation of a predicate (empty if the name is unknown).
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.find_pred(name).map(|p| &self.relations[p as usize])
+        self.find_pred(name).map(|p| &*self.relations[p as usize])
     }
 
+    /// The relation of `pred` for writing; copies it first when a clone
+    /// of the database still shares it.
     pub(crate) fn relation_mut(&mut self, pred: u32) -> &mut Relation {
-        &mut self.relations[pred as usize]
+        Arc::make_mut(&mut self.relations[pred as usize])
     }
 
     /// Checks/records the arity of a predicate.
@@ -776,10 +836,7 @@ impl Database {
                 Ok(())
             }
             Some(a) if a == arity => Ok(()),
-            Some(a) => Err(DatalogError::BadFact(format!(
-                "predicate {} used with arity {arity}, previously {a}",
-                self.pred_names[pred as usize]
-            ))),
+            Some(a) => Err(arity_error(&self.pred_names[pred as usize], arity, a)),
         }
     }
 
@@ -787,7 +844,10 @@ impl Database {
     pub fn assert_fact(&mut self, pred: &str, tuple: &[Const]) -> Result<bool> {
         let p = self.pred_id(pred);
         self.check_arity(p, tuple.len())?;
-        let (_, new) = self.relations[p as usize].insert(tuple.into(), None);
+        if self.relations[p as usize].find(tuple).is_some() {
+            return Ok(false);
+        }
+        let (_, new) = self.relation_mut(p).insert(tuple.into(), None);
         Ok(new)
     }
 
@@ -803,13 +863,23 @@ impl Database {
         rows: impl IntoIterator<Item = impl Into<Tuple>>,
     ) -> Result<usize> {
         let p = self.pred_id(pred);
-        let rows = rows.into_iter();
-        self.relations[p as usize].reserve(rows.size_hint().0);
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return Ok(0);
+        }
+        // One copy-on-write check for the batch, not one per row.
+        let rel = Arc::make_mut(&mut self.relations[p as usize]);
+        rel.reserve(rows.size_hint().0);
+        let arity = &mut self.arities[p as usize];
         let mut new = 0usize;
         for row in rows {
             let tuple: Tuple = row.into();
-            self.check_arity(p, tuple.len())?;
-            new += usize::from(self.relations[p as usize].insert(tuple, None).1);
+            match *arity {
+                None => *arity = Some(tuple.len()),
+                Some(a) if a == tuple.len() => {}
+                Some(a) => return Err(arity_error(&self.pred_names[p as usize], tuple.len(), a)),
+            }
+            new += usize::from(rel.insert(tuple, None).1);
         }
         Ok(new)
     }
@@ -820,9 +890,12 @@ impl Database {
         let Some(p) = self.find_pred(pred) else {
             return false;
         };
+        if self.relations[p as usize].find(tuple).is_none() {
+            return false;
+        }
         let mut del = crate::fx::FxHashSet::default();
         del.insert(Tuple::from(tuple));
-        self.relations[p as usize].remove_tuples(&del) > 0
+        self.relation_mut(p).remove_tuples(&del) > 0
     }
 
     /// Starts a fluent fact builder: `db.fact("own").sym("a").float(0.5).assert();`
@@ -1383,6 +1456,38 @@ mod tests {
         // The old epoch keeps answering from its own index.
         assert_eq!(built(&epoch1, "e"), 1);
         assert_eq!(epoch1.query("e", &[Some(Const::Int(1)), None]).len(), 2);
+    }
+
+    #[test]
+    fn clones_share_relations_until_one_side_writes() {
+        let mut writer = Database::new();
+        writer.fact("e").int(1).int(2).assert();
+        writer.fact("untouched").int(7).assert();
+        let epoch = writer.clone();
+        assert!(writer.shares_relation(&epoch, "e"));
+        assert!(writer.shares_relation(&epoch, "untouched"));
+        // A write copies the written relation only; the clone keeps the
+        // old contents.
+        writer.fact("e").int(2).int(3).assert();
+        assert!(!writer.shares_relation(&epoch, "e"));
+        assert!(writer.shares_relation(&epoch, "untouched"));
+        assert_eq!((writer.fact_count("e"), epoch.fact_count("e")), (2, 1));
+        // Writes that change nothing copy nothing.
+        writer.fact("untouched").int(7).assert();
+        assert!(!writer.retract_fact("untouched", &[Const::Int(8)]));
+        assert_eq!(
+            writer
+                .assert_facts("untouched", Vec::<Tuple>::new())
+                .unwrap(),
+            0
+        );
+        assert!(writer.shares_relation(&epoch, "untouched"));
+        // The symbol table is shared the same way: interning a known
+        // string leaves both sides alike, a new one lands on one side.
+        let mut names = epoch.clone();
+        assert_eq!(names.sym("x"), writer.sym("x"));
+        assert!(epoch.find_sym("x").is_none());
+        assert!(!writer.shares_relation(&epoch, "missing"));
     }
 
     #[test]

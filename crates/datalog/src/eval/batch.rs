@@ -35,7 +35,7 @@
 //! tuple chain, as do provenance-carrying runs (checked by the caller).
 
 use crate::ast::CmpOp;
-use crate::db::Relation;
+use crate::db::Relations;
 use crate::error::Result;
 use crate::eval::exec::{compare, Derived, RunCtx};
 use crate::eval::kernels::{pack, pack_exact, select_cmp};
@@ -498,7 +498,7 @@ fn fill_carries(steps: &mut [BStep], heads: &[(u32, Box<[Src]>)]) {
 /// Whether every relation the plan scans or probes is currently frozen
 /// with the needed layout. Delta-written relations never are, so
 /// recursive strata fall back to the tuple chain automatically.
-pub(crate) fn ready(bp: &BatchPlan, relations: &[Relation]) -> bool {
+pub(crate) fn ready(bp: &BatchPlan, relations: &Relations) -> bool {
     bp.needs_cols
         .iter()
         .all(|&p| relations[p as usize].columnar().is_some())
@@ -594,7 +594,7 @@ impl RSrc<'_> {
 }
 
 /// Resolves `src` against `buf` ([`ready`] guarantees the strips exist).
-fn resolve<'a>(src: &Src, relations: &'a [Relation], buf: &'a Buf) -> RSrc<'a> {
+fn resolve<'a>(src: &Src, relations: &'a Relations, buf: &'a Buf) -> RSrc<'a> {
     match *src {
         Src::Const(c) => RSrc::Const(c),
         Src::LetCol(i) => RSrc::Lets(&buf.lets[i as usize]),
@@ -613,7 +613,7 @@ fn resolve<'a>(src: &Src, relations: &'a [Relation], buf: &'a Buf) -> RSrc<'a> {
 /// guarantees `!ctx.provenance` and [`ready`].
 pub(crate) fn eval_batch(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
     let mut bufs: Vec<Buf> = (0..bp.n_depths)
@@ -670,7 +670,7 @@ pub(crate) fn eval_batch(
 /// Feeds probed lead rows into depth 0 in `BATCH_WIDTH` chunks.
 fn feed_lead(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     bufs: &mut [Buf],
     rows: &[u32],
     scratch: &mut Scratch,
@@ -694,7 +694,7 @@ fn feed_lead(
 /// first element is the batch being flushed.
 fn flush(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     bufs: &mut [Buf],
     step_idx: usize,
     scratch: &mut Scratch,
@@ -728,7 +728,7 @@ fn compact_sel(sel: &mut Vec<u32>, idx: &[u32]) {
 /// the sub-slice starting at their output depth.
 fn run_steps(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     bufs: &mut [Buf],
     step_idx: usize,
     scratch: &mut Scratch,
@@ -841,7 +841,7 @@ fn run_steps(
 /// yields the same lanes — and the same emissions — as plan order.
 fn run_block(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     buf: &mut Buf,
     bi: usize,
     scratch: &mut Scratch,
@@ -880,7 +880,7 @@ fn run_block(
 fn run_sel_step(
     step: &BStep,
     step_idx: usize,
-    relations: &[Relation],
+    relations: &Relations,
     buf: &mut Buf,
     scratch: &mut Scratch,
 ) {
@@ -978,7 +978,7 @@ fn run_sel_step(
 /// returns whether every lane packed order-exactly.
 fn gather(
     src: &Src,
-    relations: &[Relation],
+    relations: &Relations,
     buf: &Buf,
     ranks: &mut Vec<u8>,
     keys: &mut Vec<u64>,
@@ -1029,7 +1029,7 @@ fn gather(
 #[allow(clippy::too_many_arguments)]
 fn expand(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     cur: &Buf,
     rest: &mut [Buf],
     next_step: usize,
@@ -1114,7 +1114,7 @@ fn expand(
 /// rules keep the tuple chain's per-row head order.
 fn emit(
     bp: &BatchPlan,
-    relations: &[Relation],
+    relations: &Relations,
     buf: &Buf,
     scratch: &mut Scratch,
     ctx: &mut RunCtx<'_>,

@@ -34,7 +34,7 @@
 //!   go through the CSR adjacency lists.
 
 use crate::ast::{AggFunc, BinOp, CmpOp};
-use crate::db::{ProvEntry, Relation, SkolemTable};
+use crate::db::{ProvEntry, Relations, SkolemTable};
 use crate::error::{DatalogError, Result};
 use crate::eval::batch;
 use crate::eval::exec::{arith, compare, eval_expr, Derived, RunCtx};
@@ -59,7 +59,7 @@ where
 /// (`crate::eval::exec::Workspace`) for the duration of one rule
 /// evaluation, exactly as the interpreted executor does.
 pub(crate) struct Frame<'r, 'b, 'c> {
-    relations: &'r [Relation],
+    relations: &'r Relations,
     /// First delta row for the delta-tagged atom stage (0 on naive plans).
     delta_start: u32,
     binding: Vec<Option<Const>>,
@@ -122,7 +122,7 @@ pub(crate) fn compile_stratum(
 /// delta row when this is a delta plan (pass 0 for naive).
 pub(crate) fn eval_compiled(
     cr: &CompiledRule,
-    relations: &[Relation],
+    relations: &Relations,
     delta_start: u32,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {

@@ -17,7 +17,7 @@
 
 use crate::ast::{AggFunc, BinOp, CmpOp};
 use crate::builtins::{FnCtx, FunctionRegistry};
-use crate::db::{ProvEntry, Relation, SkolemTable, SymbolTable};
+use crate::db::{ProvEntry, Relations, SkolemTable, SymbolTable};
 use crate::error::{DatalogError, Result};
 use crate::eval::agg::AggStore;
 use crate::eval::plan::{AtomStep, KeyOp, RulePlan, Step, TermOp};
@@ -74,7 +74,7 @@ pub(crate) struct RunCtx<'b> {
 pub(crate) fn eval_rule(
     rule: &RRule,
     plan: &RulePlan,
-    relations: &[Relation],
+    relations: &Relations,
     delta: Option<(usize, u32)>,
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
@@ -118,7 +118,7 @@ pub(crate) fn eval_rule(
 struct Evaluator<'a, 'c> {
     rule: &'a RRule,
     plan: &'a RulePlan,
-    relations: &'a [Relation],
+    relations: &'a Relations,
     delta: Option<(usize, u32)>,
     binding: Vec<Option<Const>>,
     /// Provenance parents, one slot per positive literal in original body

@@ -36,12 +36,13 @@ pub(crate) mod kernels;
 pub(crate) mod plan;
 pub(crate) mod resolve;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::analysis::{adorn, analyze_with, AnalysisConfig};
 use crate::ast::{Directive, Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
-use crate::db::{Database, ProvEntry, Relation};
+use crate::db::{Database, ProvEntry, Relations};
 use crate::error::{DatalogError, Result};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::{Const, Tuple};
@@ -452,8 +453,8 @@ pub(crate) fn run_compiled(
     let start = Instant::now();
     let rules = resolve_rules(program, db)?;
     if options.provenance {
-        for rel in &mut db.relations {
-            rel.set_track_prov(true);
+        for rel in db.relations.iter_mut().filter(|r| !r.tracks_prov()) {
+            Arc::make_mut(rel).set_track_prov(true);
         }
     }
     let demand: FxHashSet<u32> = demand_hints
@@ -579,15 +580,20 @@ pub(crate) fn run_stratum(
                             }
                             // Full-key probes go through the dedup map
                             // instead of a registered index.
-                            if a.mask != 0 && !a.full_key() {
+                            if !a.full_key() && !db.relations[a.pred as usize].has_index(a.mask) {
                                 db.relation_mut(a.pred).register_index(a.mask);
                             }
                         }
                     }
                 }
             }
+            // Checked before `relation_mut`, which would copy a relation
+            // a clone of the database still shares only to find it
+            // already frozen.
             for (pred, masks) in &freeze {
-                db.relation_mut(*pred).freeze_columnar(masks);
+                if !db.relations[*pred as usize].frozen_for(masks) {
+                    db.relation_mut(*pred).freeze_columnar(masks);
+                }
             }
             let compiled = production.then(|| compile_stratum(rules, &plans));
             (plans, compiled)
@@ -751,11 +757,16 @@ pub(crate) fn run_stratum(
             for (i, rel) in db.relations.iter().enumerate() {
                 prev_len[i] = rel.len() as u32;
             }
+            // `out` is sorted by predicate: one copy-on-write check per
+            // predicate, not per fact.
             let mut new_facts = 0usize;
-            for d in out {
-                let (_, fresh) = db.relations[d.pred as usize].insert(d.tuple, d.prov);
-                if fresh {
-                    new_facts += 1;
+            let mut out = out.into_iter().peekable();
+            while let Some(pred) = out.peek().map(|d| d.pred) {
+                let rel = db.relation_mut(pred);
+                while let Some(d) = out.next_if(|d| d.pred == pred) {
+                    if rel.insert(d.tuple, d.prov).1 {
+                        new_facts += 1;
+                    }
                 }
             }
             stats.derived += new_facts;
@@ -783,7 +794,7 @@ fn eval_round(
     rules: &[RRule],
     plans: &[Option<RulePlans>],
     compiled: Option<&[Option<CompiledRulePlans>]>,
-    relations: &[Relation],
+    relations: &Relations,
     items: &[(usize, Option<(usize, u32)>)],
     ctx: &mut RunCtx<'_>,
 ) -> Result<()> {
@@ -864,15 +875,15 @@ pub(crate) fn apply_post(db: &mut Database, pred: &str, op: &PostOp) {
     } else {
         Vec::new()
     };
-    db.relations[p as usize].replace_all(rows);
+    db.relation_mut(p).replace_all(rows);
     if !old_rows.is_empty() {
         let rel = &db.relations[p as usize];
         let remap: Vec<u32> = old_rows
             .iter()
             .map(|t| rel.find(t).unwrap_or(ProvEntry::COMPACTED))
             .collect();
-        for r in &mut db.relations {
-            r.remap_parents(p, &remap);
+        for r in db.relations.iter_mut().filter(|r| r.tracks_prov()) {
+            Arc::make_mut(r).remap_parents(p, &remap);
         }
     }
 }

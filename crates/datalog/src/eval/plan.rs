@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 
 use crate::ast::AggFunc;
-use crate::db::{Database, Relation};
+use crate::db::{Database, Relation, Relations};
 use crate::eval::resolve::{AggKind, RAtom, RExpr, RLiteral, RRule, RTerm};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::Const;
@@ -177,7 +177,7 @@ pub(crate) struct StratumStats {
 }
 
 impl StratumStats {
-    pub fn collect(rules: &[RRule], stratum: &[usize], relations: &[Relation]) -> Self {
+    pub fn collect(rules: &[RRule], stratum: &[usize], relations: &Relations) -> Self {
         let mut preds: FxHashMap<u32, PredStats> = FxHashMap::default();
         for &ri in stratum {
             for lit in &rules[ri].body {
@@ -211,7 +211,7 @@ impl StratumStats {
     pub fn collect_reorderable(
         rules: &[RRule],
         stratum: &[usize],
-        relations: &[Relation],
+        relations: &Relations,
         cache: &mut FxHashMap<u32, PredStats>,
         cap: usize,
     ) -> Self {

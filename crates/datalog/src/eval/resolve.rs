@@ -760,7 +760,7 @@ pub(crate) struct RRule {
 }
 
 /// True when the term invents no Skolem OIDs at evaluation time.
-fn rterm_pure(t: &RTerm) -> bool {
+pub(crate) fn rterm_pure(t: &RTerm) -> bool {
     match t {
         RTerm::Var(_) | RTerm::Const(_) => true,
         RTerm::Skolem { .. } => false,
@@ -769,7 +769,7 @@ fn rterm_pure(t: &RTerm) -> bool {
 
 /// True when evaluating the expression cannot touch the symbol or Skolem
 /// tables (no external calls; calls also double as Skolem fallbacks).
-fn rexpr_pure(e: &RExpr) -> bool {
+pub(crate) fn rexpr_pure(e: &RExpr) -> bool {
     match e {
         RExpr::Var(_) | RExpr::Const(_) => true,
         RExpr::Binary(_, a, b) | RExpr::Cmp(_, a, b) => rexpr_pure(a) && rexpr_pure(b),

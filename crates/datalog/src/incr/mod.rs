@@ -16,7 +16,9 @@
 //! order-sensitive units (aggregates, Skolem invention, external calls,
 //! `@post`) by scoped replay through the engine's own stratum evaluator —
 //! which is byte-faithful because the session keeps symbol interning,
-//! seed rows, and input row order identical to the baseline. Programs
+//! seed rows, and input row order identical to the baseline. A replayed
+//! unit whose fixpoint splits on a recursion-invariant column replays
+//! only the partitions an update reaches ([`units`], "Partitions"). Programs
 //! whose readers of compacted aggregate predicates fail the subsumption
 //! check fall back to full recomputation per update: slower, never wrong.
 //!
@@ -34,7 +36,7 @@ use crate::db::Database;
 use crate::error::{DatalogError, Result};
 use crate::eval::agg::AggStore;
 use crate::eval::exec::Workspace;
-use crate::eval::resolve::{resolve_rules, RRule};
+use crate::eval::resolve::{resolve_rules, RAtom, RLiteral, RRule, RTerm};
 use crate::eval::{apply_post, run_stratum, Engine, RunStats};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::{Const, Tuple};
@@ -70,6 +72,10 @@ pub struct UpdateStats {
     pub dred_units: usize,
     /// Units re-run through the engine.
     pub replayed_units: usize,
+    /// Of those, units re-run only for the partitions the update reached.
+    pub partial_replays: usize,
+    /// Partitions those partial replays re-derived.
+    pub replayed_partitions: usize,
     /// Units skipped because no input of theirs changed.
     pub skipped_units: usize,
     /// Facts rederived after overdeletion (DRed phase B).
@@ -108,6 +114,8 @@ pub struct SessionInfo {
     pub dred_units: usize,
     /// Units replayed standalone.
     pub replay_units: usize,
+    /// Of those, units that replay only the partitions an update reaches.
+    pub partitioned_units: usize,
     /// True when every update recomputes from scratch (subsumption
     /// fallback).
     pub full_fallback: bool,
@@ -185,6 +193,15 @@ impl IncrementalEngine {
         };
         session.build_plans()?;
         session.init_counts()?;
+        let partitioned: Vec<u32> = session
+            .graph
+            .units
+            .iter()
+            .filter_map(|u| u.partition.as_ref().map(|part| part.pred))
+            .collect();
+        for p in partitioned {
+            session.keep_tuple_order(p);
+        }
         Ok(session)
     }
 
@@ -210,6 +227,7 @@ impl IncrementalEngine {
                 Mode::DRed => info.dred_units += 1,
                 Mode::Replay => info.replay_units += 1,
             }
+            info.partitioned_units += usize::from(u.partition.is_some());
         }
         info
     }
@@ -432,14 +450,33 @@ impl IncrementalEngine {
         for i in 0..self.graph.units.len() {
             match self.graph.units[i].mode {
                 Mode::Replay => {
-                    if !self.graph.units[i].reads_any(changed) {
+                    let unit = &self.graph.units[i];
+                    if !unit.reads_any(changed) {
                         stats.skipped_units += 1;
                         continue;
                     }
-                    let rules = self.graph.units[i].rules.clone();
-                    let preds = self.graph.units[i].preds.clone();
-                    let stratum = self.graph.units[i].stratum;
-                    let deltas = self.replay_scope(&rules, &preds, stratum)?;
+                    let reached = unit
+                        .partition
+                        .as_ref()
+                        .and_then(|part| part.affected(&self.rules, changed, &self.db));
+                    let deltas = match reached {
+                        Some(keys) => {
+                            stats.partial_replays += 1;
+                            stats.replayed_partitions += keys.len();
+                            self.replay_partitions(i, &keys)?
+                        }
+                        None => {
+                            let rules = unit.rules.clone();
+                            let preds = unit.preds.clone();
+                            let stratum = unit.stratum;
+                            let partitioned = unit.partition.is_some();
+                            let deltas = self.replay_scope(&rules, &preds, stratum)?;
+                            if partitioned {
+                                self.keep_tuple_order(preds[0]);
+                            }
+                            deltas
+                        }
+                    };
                     merge_deltas(changed, deltas);
                     stats.replayed_units += 1;
                 }
@@ -535,6 +572,117 @@ impl IncrementalEngine {
                 )
             })
             .collect())
+    }
+
+    /// Re-derives only the partitions `keys` of partitioned unit `i`
+    /// (module docs of [`units`], "Partitions") and splices them into its
+    /// relation: the unit's rules run through the engine's stratum loop
+    /// against an empty relation holding the reached partitions' seed
+    /// rows, each exit rule guarded right after the atom binding its
+    /// partition variable by a scratch relation of the keys. Rows of
+    /// other partitions stay where they are.
+    fn replay_partitions(
+        &mut self,
+        i: usize,
+        keys: &FxHashSet<Const>,
+    ) -> Result<Vec<(u32, PredDelta)>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let unit = &self.graph.units[i];
+        let part = unit.partition.as_ref().expect("partitioned unit");
+        let (p, col) = (part.pred, part.col);
+        let reached = |t: &[Const]| keys.contains(&t[col]);
+        let old: Vec<Tuple> = self.db.relations[p as usize]
+            .rows()
+            .filter(|t| reached(t))
+            .map(Tuple::from)
+            .collect();
+
+        let guard = self
+            .db
+            .push_scratch_relation(keys.iter().map(|&k| Tuple::from(&[k][..])));
+        let mut rules = self.rules.clone();
+        for pr in &part.rules {
+            let Some(li) = pr.exit_binder else { continue };
+            let rule = &mut rules[pr.rule];
+            let atom = RAtom {
+                pred: guard,
+                terms: vec![RTerm::Var(pr.key)],
+            };
+            rule.body.insert(li + 1, RLiteral::Atom { atom });
+            rule.positive_literals.clear();
+            rule.positive_preds.clear();
+            for (li, lit) in rule.body.iter().enumerate() {
+                if let RLiteral::Atom { atom } = lit {
+                    rule.positive_literals.push(li);
+                    rule.positive_preds.push(atom.pred);
+                }
+            }
+        }
+        let kept = std::mem::take(&mut self.db.relations[p as usize]);
+        if let Some(seed) = self.seed_rows.get(&p) {
+            for t in seed.iter().filter(|t| reached(t)) {
+                self.db.relation_mut(p).insert(t.clone(), None);
+            }
+        }
+        let run = run_stratum(
+            &rules,
+            &unit.rules,
+            unit.stratum,
+            &mut self.db,
+            self.engine.registry(),
+            self.engine.options(),
+            &FxHashSet::default(),
+            &mut AggStore::default(),
+            &mut Workspace::default(),
+            &mut RunStats::default(),
+        );
+        if run.is_ok() && self.engine.options().apply_post {
+            for (q, name, op) in &self.graph.posted {
+                if *q == p {
+                    apply_post(&mut self.db, name, op);
+                }
+            }
+        }
+        let fresh = std::mem::replace(&mut self.db.relations[p as usize], kept);
+        self.db.pop_scratch_relation();
+        run?;
+
+        let d = PredDelta::from_diff(&old, &fresh);
+        if !d.is_empty() {
+            let kept = self.db.relations[p as usize]
+                .rows()
+                .filter(|t| !d.del_set.contains(*t))
+                .map(Tuple::from);
+            let rows: Vec<Tuple> = kept.chain(d.ins.iter().cloned()).collect();
+            self.put_in_tuple_order(p, rows);
+        }
+        Ok(vec![(p, d)])
+    }
+
+    /// Stores `rows` as the relation of partitioned predicate `p`, in
+    /// tuple order. A partitioned relation is kept that way from the
+    /// session's first run on, whatever the history of partial and whole
+    /// replays that built it, so two sessions over the same facts — one
+    /// maintained, one recovered from a snapshot and a shorter log —
+    /// agree row for row. (A partial replay appends where a whole one
+    /// would interleave; readers never see the difference, since only
+    /// pure rules read a partitioned relation.)
+    fn put_in_tuple_order(&mut self, p: u32, mut rows: Vec<Tuple>) {
+        // Already sorted runs make this a merge.
+        rows.sort();
+        self.db.relation_mut(p).replace_all(rows);
+    }
+
+    /// [`IncrementalEngine::put_in_tuple_order`] over the relation's
+    /// current rows, when they are out of order.
+    fn keep_tuple_order(&mut self, p: u32) {
+        let rel = &self.db.relations[p as usize];
+        if !rel.rows().is_sorted() {
+            let rows = rel.rows().map(Tuple::from).collect();
+            self.put_in_tuple_order(p, rows);
+        }
     }
 
     /// Replays a counting unit (negation path) and rebuilds its counts.
@@ -1327,6 +1475,56 @@ mod tests {
         assert!(info.replay_units >= 1);
         assert_eq!(info.dred_units, 1);
         assert!(!info.full_fallback);
+    }
+
+    #[test]
+    fn control_replays_only_the_partitions_an_update_reaches() {
+        let src = "control(X, X) :- company(X).\n\
+                   control(X, X) :- person(X).\n\
+                   control(X, Y) :- control(X, Z), own(Z, Y, W), Z != Y, X != Y, \
+                   msum(W, <Z>) > 0.5.";
+        let own =
+            |a: &'static str, b: &'static str, w: f64| ("own", vec![V::S(a), V::S(b), V::F(w)]);
+        let mut init: Facts = ["a", "b", "c", "x", "y"]
+            .into_iter()
+            .map(|c| ("company", vec![V::S(c)]))
+            .collect();
+        init.extend([("person", vec![V::S("p")]), ("person", vec![V::S("q")])]);
+        init.extend([
+            own("p", "a", 0.6),
+            own("a", "b", 0.6),
+            own("b", "c", 0.3),
+            own("q", "x", 0.7),
+            own("x", "y", 0.2),
+        ]);
+        let steps = vec![
+            // Only a and p control a: c joins both partitions.
+            Step {
+                del: vec![],
+                ins: vec![own("a", "c", 0.25)],
+            },
+            // Three contributors land on exactly one half: no control.
+            Step {
+                del: vec![own("a", "c", 0.25)],
+                ins: vec![own("a", "c", 0.1), own("p", "c", 0.1)],
+            },
+            Step {
+                del: vec![own("a", "b", 0.6)],
+                ins: vec![own("q", "y", 0.35)],
+            },
+        ];
+        let mut session = differential(src, init, steps);
+        assert_eq!(session.info().partitioned_units, 1);
+        // q controls y now, so a stake held by y reaches q's and y's
+        // partitions, not the other five.
+        let (y, c) = (session.sym("y"), session.sym("c"));
+        let update = Update {
+            insert: vec![("own".into(), vec![y, c, Const::float(0.05)])],
+            delete: vec![],
+        };
+        let stats = session.apply_update(&update).unwrap().stats;
+        assert_eq!((stats.partial_replays, stats.replayed_partitions), (1, 2));
+        assert_eq!(stats.replayed_units, 1);
     }
 
     #[test]

@@ -33,12 +33,40 @@
 //! computed once per posted predicate by `resolve::compile`). Programs
 //! that fail it fall back to full recomputation per update — still
 //! correct, never wrong.
+//!
+//! # Partitions
+//!
+//! A replayed unit need not replay whole. In Algorithm 5,
+//! `control(X, Y) :- control(X, Z), own(Z, Y, W), …, msum(W, <Z>) > 0.5`
+//! carries `X` unchanged from the body's `control` atom to the head, so
+//! the unit's fixpoint is a disjoint union of one fixpoint per `X`, and
+//! every aggregate group (the head tuple, less any value column) lies in
+//! one of them. [`Partition`] records such a *recursion-invariant* column
+//! (`acc_own`'s is its second). A changed input tuple reaches the
+//! partitions whose *old* rows can join it ([`Partition::affected`]): if
+//! no derivation of partition `x` can use the tuple in the old fixpoint,
+//! none can in the new one, round by round, so `x` is unchanged. The
+//! session re-derives just the reached partitions through the engine's
+//! stratum loop, with exit rules guarded by the partition keys; a
+//! partition's rounds, its aggregate contribution order and so its bits
+//! are those of a whole-unit replay, since nothing in it reads another
+//! partition. Only the relation's row order would depend on the history
+//! of replays, so the session keeps a partitioned relation in tuple
+//! order, and a unit partitions only when every rule outside it that
+//! reads it is pure (order-insensitive: a round's output is canonically
+//! sorted).
 
 use crate::ast::PostOp;
 use crate::db::Database;
 use crate::error::Result;
-use crate::eval::resolve::{tarjan, CompiledProgram, RLiteral, RRule};
+use crate::eval::resolve::{
+    rexpr_pure, rterm_pure, tarjan, CompiledProgram, RLiteral, RRule, RTerm,
+};
 use crate::fx::{FxHashMap, FxHashSet};
+use crate::value::{Const, Tuple};
+
+use super::bind_head;
+use super::delta::PredDelta;
 
 /// Maintenance strategy of one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +98,213 @@ pub(crate) struct Unit {
     pub recursive: bool,
     /// Chosen maintenance strategy.
     pub mode: Mode,
+    /// For a replayed unit, the column its fixpoint splits on (see the
+    /// module docs, "Partitions").
+    pub partition: Option<Partition>,
+}
+
+/// A replayed unit of one predicate whose fixpoint is a disjoint union
+/// of one fixpoint per value of column `col`.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    /// The unit's predicate.
+    pub pred: u32,
+    /// The recursion-invariant head column.
+    pub col: usize,
+    /// The unit's rules, each with its partition variable.
+    pub rules: Vec<PartRule>,
+}
+
+/// One rule of a partitioned unit.
+#[derive(Debug)]
+pub(crate) struct PartRule {
+    /// Rule index.
+    pub rule: usize,
+    /// The variable at the partition column of the head — and of every
+    /// body atom of the unit's predicate.
+    pub key: u32,
+    /// For an exit rule (no body atom of the unit's predicate): the body
+    /// literal of the first positive atom binding `key`, after which a
+    /// partial replay checks the key against the reached partitions.
+    pub exit_binder: Option<usize>,
+}
+
+impl Partition {
+    /// The partition keys the changed inputs can reach, or `None` when
+    /// some changed literal's reach cannot be told from its tuple: then
+    /// the whole unit replays. A changed tuple that binds its rule's
+    /// partition variable reaches that key. Otherwise it reaches the keys
+    /// of the rows that can join it in the first positive atom holding
+    /// the partition variable and one of the tuple's variables: rows of
+    /// the unit's relation as of before the update (`db` holds them
+    /// still), or of an input relation before or after it. A tuple with
+    /// no such atom gives `None`.
+    pub fn affected(
+        &self,
+        rules: &[RRule],
+        changed: &FxHashMap<u32, PredDelta>,
+        db: &Database,
+    ) -> Option<FxHashSet<Const>> {
+        let mut keys = FxHashSet::default();
+        // Rows to look for, per (predicate, bound columns, column of the
+        // partition variable): the values the bound columns must hold.
+        type Probe = (u32, Vec<usize>, usize);
+        let mut probes: FxHashMap<Probe, FxHashSet<Tuple>> = FxHashMap::default();
+        for pr in &self.rules {
+            let rule = &rules[pr.rule];
+            for (li, lit) in rule.body.iter().enumerate() {
+                let atom = match lit {
+                    RLiteral::Atom { atom } | RLiteral::Negated(atom) => atom,
+                    _ => continue,
+                };
+                let Some(delta) = changed.get(&atom.pred) else {
+                    continue;
+                };
+                for t in delta.ins.iter().chain(&delta.del) {
+                    let mut binding = vec![None; rule.nvars];
+                    if !bind_head(atom, t, &mut binding) {
+                        continue;
+                    }
+                    if let Some(k) = binding[pr.key as usize] {
+                        keys.insert(k);
+                        continue;
+                    }
+                    let is_bound =
+                        |t: &RTerm| matches!(t, RTerm::Var(v) if binding[*v as usize].is_some());
+                    let (join, key_col) = rule.body.iter().enumerate().find_map(|(lj, l)| {
+                        let RLiteral::Atom { atom: a } = l else {
+                            return None;
+                        };
+                        let key_col = a
+                            .terms
+                            .iter()
+                            .position(|t| matches!(t, RTerm::Var(v) if *v == pr.key))?;
+                        (lj != li && a.terms.iter().any(is_bound)).then_some((a, key_col))
+                    })?;
+                    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+                    for (c, term) in join.terms.iter().enumerate() {
+                        let bound = match term {
+                            RTerm::Var(v) => binding[*v as usize],
+                            RTerm::Const(k) => Some(*k),
+                            RTerm::Skolem { .. } => None,
+                        };
+                        if let Some(k) = bound {
+                            cols.push(c);
+                            vals.push(k);
+                        }
+                    }
+                    probes
+                        .entry((join.pred, cols, key_col))
+                        .or_default()
+                        .insert(vals.into());
+                }
+            }
+        }
+        let mut proj: Vec<Const> = Vec::new();
+        for ((pred, cols, key_col), vals) in &probes {
+            let current = db.relations[*pred as usize].rows();
+            let removed = changed
+                .get(pred)
+                .into_iter()
+                .flat_map(|d| d.del.iter().map(|t| &t[..]));
+            for row in current.chain(removed) {
+                proj.clear();
+                proj.extend(cols.iter().map(|&c| row[c]));
+                if vals.contains(&proj[..]) {
+                    keys.insert(row[*key_col]);
+                }
+            }
+        }
+        Some(keys)
+    }
+}
+
+/// The partition of a replayed unit, if it has one: a single head
+/// predicate, rules that invent nothing (aggregates are fine, Skolem
+/// terms and external calls are not: their ids follow evaluation order
+/// across the whole unit), a column every rule carries from its body's
+/// unit atoms to its head unchanged or, in an exit rule, binds from a
+/// positive atom, and no compaction or impure reader that would see
+/// across partitions or depend on row order.
+fn find_partition(
+    unit: &Unit,
+    rules: &[RRule],
+    posted: &[(u32, String, PostOp)],
+    readers_pure: bool,
+) -> Option<Partition> {
+    if unit.mode != Mode::Replay || unit.preds.len() != 1 || !readers_pure {
+        return None;
+    }
+    let pred = unit.preds[0];
+    let invents = |r: &RRule| {
+        !r.existentials.is_empty()
+            || r.head.iter().any(|h| !h.terms.iter().all(rterm_pure))
+            || r.body.iter().any(|l| match l {
+                RLiteral::Cond(e) | RLiteral::Let(_, e) => !rexpr_pure(e),
+                RLiteral::Agg { agg, kind } => {
+                    !rexpr_pure(&agg.expr)
+                        || matches!(kind, crate::eval::resolve::AggKind::Cond { rhs, .. } if !rexpr_pure(rhs))
+                }
+                _ => false,
+            })
+    };
+    let unit_rules: Vec<&RRule> = unit.rules.iter().map(|&ri| &rules[ri]).collect();
+    if unit_rules.iter().any(|r| r.head.len() != 1 || invents(r)) {
+        return None;
+    }
+    let arity = unit_rules[0].head[0].terms.len();
+    (0..arity).find_map(|col| {
+        // A compaction groups by every column but its value column.
+        let compacts_across = posted.iter().any(|(p, _, op)| {
+            *p == pred && matches!(op, PostOp::MaxBy(c) | PostOp::MinBy(c) if *c == col)
+        });
+        if compacts_across {
+            return None;
+        }
+        let mut parts = Vec::with_capacity(unit_rules.len());
+        for (&ri, rule) in unit.rules.iter().zip(&unit_rules) {
+            let RTerm::Var(key) = rule.head[0].terms[col] else {
+                return None;
+            };
+            let is_key = |t: &RTerm| matches!(t, RTerm::Var(v) if *v == key);
+            let mut reads_unit = false;
+            let mut binder = None;
+            for (li, lit) in rule.body.iter().enumerate() {
+                match lit {
+                    RLiteral::Atom { atom } if atom.pred == pred => {
+                        if !is_key(&atom.terms[col]) {
+                            return None;
+                        }
+                        reads_unit = true;
+                    }
+                    RLiteral::Atom { atom }
+                        if binder.is_none() && atom.terms.iter().any(is_key) =>
+                    {
+                        binder = Some(li);
+                    }
+                    // The aggregate's own value is not a partition.
+                    RLiteral::Agg {
+                        kind: crate::eval::resolve::AggKind::Let { var, .. },
+                        ..
+                    } if *var == key => return None,
+                    _ => {}
+                }
+            }
+            if !reads_unit && binder.is_none() {
+                return None;
+            }
+            parts.push(PartRule {
+                rule: ri,
+                key,
+                exit_binder: if reads_unit { None } else { binder },
+            });
+        }
+        Some(Partition {
+            pred,
+            col,
+            rules: parts,
+        })
+    })
 }
 
 impl Unit {
@@ -245,6 +480,7 @@ pub(crate) fn build_units(
             neg_inputs,
             recursive,
             mode: Mode::Counting, // placeholder, classified below
+            partition: None,
         });
     }
     units.sort_by_key(|u| u.stratum); // stable: keeps topo order within
@@ -321,6 +557,21 @@ pub(crate) fn build_units(
     // from-scratch run exposes, which replay of the compacted unit cannot
     // reproduce.
     let fallback_full = compiled.posts.iter().any(|p| p.unsafe_reader.is_some());
+
+    // -- partitions of replayed units ------------------------------------
+    for u in units.iter_mut() {
+        let readers_pure = rules.iter().enumerate().all(|(ri, rule)| {
+            rule.pure
+                || u.rules.contains(&ri)
+                || !rule.body.iter().any(|lit| match lit {
+                    RLiteral::Atom { atom } | RLiteral::Negated(atom) => {
+                        u.preds.contains(&atom.pred)
+                    }
+                    _ => false,
+                })
+        });
+        u.partition = find_partition(u, rules, &posted, readers_pure);
+    }
 
     Ok(UnitGraph {
         units,
@@ -437,6 +688,80 @@ mod tests {
              big(X) :- acc(X, V), V >= 0.5.",
         );
         assert!(!g.fallback_full);
+    }
+
+    fn partition_of(src: &str, pred: &str) -> Option<usize> {
+        let (g, db, _, _) = graph_of(src);
+        let p = db.find_pred(pred).unwrap();
+        g.units[g.unit_of_pred[&p]]
+            .partition
+            .as_ref()
+            .map(|part| part.col)
+    }
+
+    #[test]
+    fn paper_aggregates_split_on_their_recursion_invariant_column() {
+        let control = "control(X, X) :- company(X).\n\
+                       control(X, X) :- person(X).\n\
+                       control(X, Y) :- control(X, Z), own(Z, Y, W), Z != Y, X != Y, msum(W, <Z>) > 0.5.";
+        assert_eq!(partition_of(control, "control"), Some(0));
+        let acc = "acc(X, Y, V) :- own(X, Y, W), X != Y, V = msum(W, <X, Y>).\n\
+                   acc(X, Y, V) :- own(X, Z, W1), Z != X, acc(Z, Y, W2), Y != X, V = msum(W1 * W2, <Z>).\n\
+                   cl(X, Y) :- acc(X, Y, V), th(T), V >= T.";
+        assert_eq!(partition_of(acc, "acc"), Some(1));
+        // A pure reader of control keeps it partitioned; the family unit
+        // splits on the family.
+        let family = format!(
+            "{control}\n\
+             fcontrol(F, Y) :- member(F, X), control(X, Y), X != Y.\n\
+             fcontrol(F, Y) :- fcontrol(F, X), own(X, Y, W), X != Y, msum(W, <X>) > 0.5.\n\
+             fcontrol(F, Y) :- member(F, I), own(I, Y, W), msum(W, <I>) > 0.5."
+        );
+        assert_eq!(partition_of(&family, "control"), Some(0));
+        assert_eq!(partition_of(&family, "fcontrol"), Some(0));
+    }
+
+    #[test]
+    fn units_without_a_safe_split_replay_whole() {
+        // No column is carried unchanged: X and Y swap.
+        assert_eq!(
+            partition_of(
+                "s(X, Y, V) :- e(X, Y, W), V = msum(W, <X>).\n\
+                 s(Y, X, V) :- s(X, Y, W), e(X, Y, U), V = msum(U, <X>).",
+                "s"
+            ),
+            None
+        );
+        // An aggregate reads the unit: its contribution order would see
+        // the relation's row order, which a partial replay changes.
+        assert_eq!(
+            partition_of(
+                "t(X, Y, V) :- e(X, Y, W), V = msum(W, <Y>).\n\
+                 u(X, S) :- t(X, _, V), S = msum(V, <X>).",
+                "t"
+            ),
+            None
+        );
+        // Skolem ids follow the evaluation order of the whole unit.
+        assert_eq!(
+            partition_of("l(Z, X, V) :- e(X, W), Z = #mk(X), V = msum(W, <X>).", "l"),
+            None
+        );
+        // A compaction whose value column is the only candidate groups
+        // across partitions; one on another column groups within them.
+        assert_eq!(
+            partition_of("@post(\"b\", \"max(0)\").\nb(X) :- score(X, _).", "b"),
+            None
+        );
+        assert_eq!(
+            partition_of("@post(\"b\", \"max(1)\").\nb(X, W) :- score(X, W).", "b"),
+            Some(0)
+        );
+        // Pure units are maintained, not replayed.
+        assert_eq!(
+            partition_of("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).", "t"),
+            None
+        );
     }
 
     #[test]

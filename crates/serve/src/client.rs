@@ -165,6 +165,7 @@ impl Client {
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
+        crate::server::poll_for_frame(&mut self.reader)?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

@@ -19,6 +19,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use crate::protocol::{
     Body, ErrorCode, Op, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
@@ -191,6 +192,44 @@ fn drain_to_newline(r: &mut impl BufRead) -> io::Result<()> {
     }
 }
 
+/// How long a connection end polls for the peer's next frame before it
+/// parks in a blocking read. A request/response peer usually answers
+/// within tens of microseconds, while parking lets an idle CPU halt, and
+/// waking a halted CPU costs about ten microseconds per frame on a
+/// two-core virtual machine — a latency that grows as the server gets
+/// less busy (EXPERIMENTS.md, "Partial replay").
+const POLL_WINDOW: Duration = Duration::from_micros(100);
+
+/// Waits up to [`POLL_WINDOW`] for the next frame's bytes, yielding the
+/// CPU between attempts, then returns so the caller's blocking read
+/// either finds them buffered or parks.
+pub(crate) fn poll_for_frame(reader: &mut BufReader<TcpStream>) -> io::Result<()> {
+    if !reader.buffer().is_empty() {
+        return Ok(());
+    }
+    reader.get_ref().set_nonblocking(true)?;
+    let start = Instant::now();
+    let polled = loop {
+        match reader.fill_buf() {
+            Ok(_) => break Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                if start.elapsed() >= POLL_WINDOW {
+                    break Ok(());
+                }
+                thread::yield_now();
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    reader.get_ref().set_nonblocking(false)?;
+    polled
+}
+
 fn handle_conn(
     stream: TcpStream,
     service: &GraphService,
@@ -201,6 +240,7 @@ fn handle_conn(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
+        poll_for_frame(&mut reader)?;
         let line = match read_frame(&mut reader, max_frame)? {
             Frame::Eof => return Ok(()),
             Frame::TooLong => {

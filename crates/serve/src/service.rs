@@ -604,6 +604,31 @@ mod tests {
     }
 
     #[test]
+    fn epochs_share_the_relations_an_update_leaves_alone() {
+        let program = Program::parse(PROGRAM).unwrap();
+        let mut db = Database::new();
+        db.assert_str_facts("edge", &[&["a", "b"], &["b", "c"]]);
+        db.assert_str_facts("label", &[&["a", "x"]]);
+        let svc = GraphService::new(&program, db, ServiceConfig::default()).unwrap();
+        let first = svc.pin();
+        svc.apply_delta("+edge(c,d)").unwrap();
+        let second = svc.pin();
+        assert!(second.db().shares_relation(first.db(), "label"));
+        assert!(!second.db().shares_relation(first.db(), "edge"));
+        assert!(!second.db().shares_relation(first.db(), "reach"));
+        // A shortcut derives no new pair: reach stays shared.
+        svc.apply_delta("+edge(a,c)").unwrap();
+        let third = svc.pin();
+        assert!(third.db().shares_relation(second.db(), "reach"));
+        assert!(!third.db().shares_relation(second.db(), "edge"));
+        // The old epochs answer from their own contents.
+        assert_eq!(
+            svc.lookup_on(&first, "reach(\"a\", X)?").unwrap(),
+            vec!["reach(a, b)", "reach(a, c)"]
+        );
+    }
+
+    #[test]
     fn bad_requests_map_to_stable_codes() {
         let svc = service();
         let err = svc.lookup("nonsense(").unwrap_err();
