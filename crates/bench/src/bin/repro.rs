@@ -1,7 +1,7 @@
 //! Reproduction driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|magic|compile|store]
+//! repro [--exp all|t1|fig4a|fig4b|fig4c|fig4d|fig4e|threads|ablations|incr|compile|store]
 //!       [--scale small|full] [--threads N] [--bench-json [PATH]]
 //! ```
 //!
@@ -15,9 +15,6 @@
 //! names: with `--exp incr` it benchmarks
 //! incremental update propagation vs full recomputation across batch
 //! sizes (`BENCH_incr.json`, schema `vadalink-bench-incr/1`); with
-//! `--exp magic` it benchmarks goal-directed point lookups vs full
-//! evaluation (`BENCH_magic.json`, schema `vadalink-bench-magic/1`, whose
-//! validator demands an integer-factor wall-clock win per lookup); with
 //! `--exp compile` it benchmarks the production executors vs the
 //! reference oracle plus the linkage distance kernels vs their scalar
 //! references (`BENCH_compile.json`, schema `vadalink-bench-compile/1`); with
@@ -40,13 +37,12 @@ use bench::compile_bench::{
 };
 use bench::experiments::*;
 use bench::incr_bench::{render_incr_json, run_incr_bench, validate_incr_json, IncrConfig};
-use bench::magic_bench::{render_magic_json, run_magic_bench, validate_magic_json, MagicConfig};
 use bench::store_bench::{
     render_store_json, run_store_bench, validate_store_json, StoreBenchConfig,
 };
 
 /// Every `--exp` value `repro` runs.
-const EXPS: [&str; 13] = [
+const EXPS: [&str; 12] = [
     "all",
     "t1",
     "fig4a",
@@ -57,7 +53,6 @@ const EXPS: [&str; 13] = [
     "threads",
     "ablations",
     "incr",
-    "magic",
     "compile",
     "store",
 ];
@@ -186,59 +181,6 @@ fn run_incr(json_path: Option<&str>, full: bool) {
         println!(
             "\nwrote {path} (schema {} — validated)",
             bench::incr_bench::INCR_SCHEMA
-        );
-    }
-}
-
-/// Runs the goal-directed point-lookup sweep; optionally writes +
-/// validates the `BENCH_magic.json` artifact. Exits non-zero on schema,
-/// identity or speedup failure.
-fn run_magic(json_path: Option<&str>, full: bool) {
-    let cfg = MagicConfig {
-        persons: if full { 4_000 } else { 1_500 },
-        seed: SEED,
-        repeats: if full { 5 } else { 3 },
-        goals_per_program: 3,
-    };
-    println!(
-        "Goal-directed bench: single-source point lookups vs full evaluation \
-         ({} persons, {} repeats, 1 thread)",
-        cfg.persons, cfg.repeats
-    );
-    let rows = run_magic_bench(&cfg);
-    println!(
-        "{:>12} {:>24} {:>11} {:>10} {:>9} {:>8} {:>10} {:>10}",
-        "program", "goal", "query_s", "full_s", "speedup", "answers", "q_derived", "f_derived"
-    );
-    for r in &rows {
-        println!(
-            "{:>12} {:>24} {:>11.4} {:>10.3} {:>8.1}x {:>8} {:>10} {:>10}",
-            r.name,
-            r.goal,
-            r.query_secs,
-            r.full_secs,
-            r.speedup,
-            r.answers,
-            r.query_derived,
-            r.full_derived
-        );
-        assert!(r.demanded, "{}: fell back to full evaluation", r.goal);
-        assert!(r.outputs_match, "{}: answers diverged", r.goal);
-    }
-    println!("acceptance: every lookup wins by an integer factor (EXPERIMENTS.md).");
-    if let Some(path) = json_path {
-        let text = render_magic_json(&cfg, &rows);
-        if let Err(e) = validate_magic_json(&text) {
-            eprintln!("generated benchmark JSON failed schema validation: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "\nwrote {path} (schema {} — validated)",
-            bench::magic_bench::MAGIC_SCHEMA
         );
     }
 }
@@ -387,9 +329,6 @@ fn main() {
         if args.exp == "incr" {
             let path = path.as_deref().unwrap_or("BENCH_incr.json");
             run_incr(Some(path), args.full);
-        } else if args.exp == "magic" {
-            let path = path.as_deref().unwrap_or("BENCH_magic.json");
-            run_magic(Some(path), args.full);
         } else if args.exp == "compile" {
             let path = path.as_deref().unwrap_or("BENCH_compile.json");
             run_compile(Some(path), args.full);
@@ -397,7 +336,7 @@ fn main() {
             let path = path.as_deref().unwrap_or("BENCH_store.json");
             run_store(Some(path), args.full);
         } else {
-            usage_error("--bench-json needs --exp incr|magic|compile|store");
+            usage_error("--bench-json needs --exp incr|compile|store");
         }
         return;
     }
@@ -520,11 +459,6 @@ fn main() {
 
     if run("incr") {
         run_incr(None, args.full);
-        println!();
-    }
-
-    if args.exp == "magic" {
-        run_magic(None, args.full);
         println!();
     }
 

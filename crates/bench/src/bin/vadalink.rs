@@ -29,12 +29,11 @@
 //! code, severity, source location and message per diagnostic, in the
 //! analyzer's deterministic order; the exit-code contract is unchanged.
 //!
-//! `query` evaluates a single goal goal-directedly: the program is
-//! rewritten by the demand (magic-sets) transformation around the goal's
-//! bound constants, so only the cone of facts the answer depends on is
-//! derived. Matching facts print one per line; the adornment summary and
-//! run statistics go to stderr. `PROGRAM` is a Vadalog file or a bundled
-//! shortcut (`control` / `closelink`, the latter seeds `th(--threshold)`).
+//! `query` runs the program to fixpoint over the graph's facts and prints
+//! the facts matching a single goal, one per line, sorted — the rows a
+//! `serve` lookup of the same goal returns. Run statistics go to stderr.
+//! `PROGRAM` is a Vadalog file or a bundled shortcut (`control` /
+//! `closelink`, the latter seeds `th(--threshold)`).
 //!
 //! `update` opens an incremental reasoning session over the graph's
 //! extensional facts, applies the signed ground facts of the update file
@@ -357,8 +356,8 @@ fn render_check_json(path: &str, src: &str, analysis: &datalog::Analysis) -> Str
     s
 }
 
-/// Implements `vadalink query`: goal-directed evaluation of a single goal
-/// over the graph's facts, via the demand (magic-sets) rewrite.
+/// Implements `vadalink query`: evaluate the program over the graph's
+/// facts, then print the goal's matching facts.
 fn run_query(opts: &Opts) -> Result<ExitCode, String> {
     let spec = opts
         .file
@@ -376,27 +375,22 @@ fn run_query(opts: &Opts) -> Result<ExitCode, String> {
     let g = load_graph(opts)?;
     let program = datalog::Program::parse(&src).map_err(|e| format!("{spec}: {e}"))?;
     let engine = datalog::Engine::new(&program).map_err(|e| e.to_string())?;
+    let goal = datalog::Query::parse(goal).map_err(|e| e.to_string())?;
     let mut db = datalog::Database::new();
     load_facts(&g, &mut db);
     db.assert_fact("th", &[datalog::Const::float(opts.threshold)])
         .map_err(|e| e.to_string())?;
-    let answer = engine.query(&db, goal).map_err(|e| e.to_string())?;
-    for row in &answer.rows {
+    let stats = engine.run(&mut db).map_err(|e| e.to_string())?;
+    let rows = datalog::goal_matches(&db, &goal);
+    for row in &rows {
         println!("{row}");
     }
-    eprint!("{}", answer.report.render());
     eprintln!(
-        "vadalink: {} answer(s) in {:.3?} ({}, {} fact(s) derived, {} round(s))",
-        answer.rows.len(),
-        answer.stats.duration,
-        if answer.demanded {
-            "goal-directed".to_owned()
-        } else {
-            let why = answer.fallback_reason.as_deref().unwrap_or("all-free goal");
-            format!("full evaluation: {why}")
-        },
-        answer.stats.derived,
-        answer.stats.rounds,
+        "vadalink: {} answer(s) after a {:.3?} run ({} fact(s) derived, {} round(s))",
+        rows.len(),
+        stats.duration,
+        stats.derived,
+        stats.rounds,
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -22,6 +22,5 @@ pub mod bench_json;
 pub mod compile_bench;
 pub mod experiments;
 pub mod incr_bench;
-pub mod magic_bench;
 pub mod store_bench;
 pub mod synth;

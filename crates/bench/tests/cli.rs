@@ -1,6 +1,7 @@
 //! End-to-end tests of the `vadalink` binary: exit-code conventions
 //! (0 clean, 1 analyzer errors, 2 usage/parse errors with usage text),
-//! the `update` subcommand's incremental diff output, the `serve`
+//! the `update` subcommand's incremental diff output, `query`'s rows
+//! against an in-process evaluation, the `serve`
 //! subcommand's bind/round-trip/shutdown lifecycle, and durability —
 //! data-dir exit codes (missing dir 2; locked / incompatible store 1)
 //! plus a real SIGKILL-and-restart recovery round trip. `repro`'s
@@ -86,6 +87,7 @@ fn repro_rejects_unknown_experiments_and_scales() {
     for (args, valid) in [
         (&["--exp", "bogus"][..], "t1|fig4a"),
         (&["--exp", "serve"][..], "compile|store"),
+        (&["--exp", "magic"][..], "incr|compile|store"),
         (&["--exp"][..], "ablations|incr"),
         (&["--scale", "huge"][..], "small|full"),
         (&["--exp", "t1", "--scale"][..], "small|full"),
@@ -209,6 +211,61 @@ fn update_applies_an_incremental_diff_to_the_demo_graph() {
         bad.to_str().unwrap(),
     ]);
     assert_eq!(code(&out), 2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn query_prints_the_goal_matches_of_a_full_run() {
+    let (dir, nodes, edges) = demo_graph("query");
+    let graph = {
+        let nf = BufReader::new(fs::File::open(&nodes).unwrap());
+        let ef = BufReader::new(fs::File::open(&edges).unwrap());
+        vada_link::model::CompanyGraph::new(pgraph::io::read_csv(nf, ef).unwrap())
+    };
+    // A bound-first control goal and a bound-second close-link goal; the
+    // closelink shortcut seeds th(0.2), the --threshold default.
+    for (spec, src, goal, known) in [
+        (
+            "control",
+            vada_link::programs::CONTROL_PROGRAM,
+            "control(\"n0\", X)?",
+            "control(n0, n2)",
+        ),
+        (
+            "closelink",
+            vada_link::programs::CLOSELINK_PROGRAM,
+            "close_link(X, \"n6\")?",
+            "close_link(n7, n6)",
+        ),
+    ] {
+        let out = vadalink(&[
+            "query",
+            spec,
+            goal,
+            "--nodes",
+            nodes.to_str().unwrap(),
+            "--edges",
+            edges.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            code(&out),
+            0,
+            "{goal}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        let program = datalog::Program::parse(src).unwrap();
+        let mut db = vada_link::mapping::load_for(&graph, &program);
+        db.assert_fact("th", &[datalog::Const::float(0.2)]).unwrap();
+        datalog::Engine::new(&program)
+            .unwrap()
+            .run(&mut db)
+            .unwrap();
+        let rows = datalog::goal_matches(&db, &datalog::Query::parse(goal).unwrap());
+        assert!(rows.iter().any(|r| r == known), "{goal}: {rows:?}");
+        let expected: String = rows.iter().map(|r| format!("{r}\n")).collect();
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{goal}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -24,7 +24,6 @@
 //! Predicate names are interned once into a [`ProgramIndex`] shared by all
 //! passes, so no pass clones name strings in its inner loops.
 
-pub mod adorn;
 pub mod constprop;
 pub mod diagnostics;
 pub mod lints;
@@ -38,7 +37,6 @@ use std::collections::HashMap;
 
 use crate::ast::{Expr, Literal, Program, Term, VarId};
 
-pub use adorn::{Adornment, BindingReport, MagicRewrite};
 pub use diagnostics::{DiagCode, Diagnostic, Severity};
 
 /// Collects the variables of a term (flattening Skolem arguments).

@@ -309,12 +309,11 @@ impl Program {
     }
 }
 
-/// A query goal `pred(t1, ..., tn)?` — the entry point of goal-directed
-/// evaluation. Each argument is either a ground constant (a *bound*
-/// position, written as a literal) or a variable (a *free* position whose
-/// values the query asks for). The binding pattern of the goal is the
-/// adornment the magic-sets rewrite ([`crate::analysis::adorn`]) starts
-/// from.
+/// A query goal `pred(t1, ..., tn)?`, answered from an evaluated
+/// database by [`crate::goal_matches`]. Each argument is either a ground
+/// constant (a *bound* position, written as a literal) or a variable (a
+/// *free* position whose values the query asks for); a bound argument
+/// makes the read an index read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Queried predicate name.
@@ -332,16 +331,6 @@ impl Query {
     /// (the trailing `?` is optional).
     pub fn parse(src: &str) -> Result<Query> {
         parser::parse_query(src)
-    }
-
-    /// The goal's arity.
-    pub fn arity(&self) -> usize {
-        self.args.len()
-    }
-
-    /// The bound/free binding pattern, `true` = bound.
-    pub fn pattern(&self) -> Vec<bool> {
-        self.args.iter().map(|a| a.is_some()).collect()
     }
 }
 

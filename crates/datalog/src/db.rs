@@ -19,9 +19,8 @@ use crate::value::{Const, Tuple};
 /// Interner for string constants.
 ///
 /// The table is shared copy-on-write: cloning it — every serve epoch and
-/// every scratch copy of [`Engine::query`](crate::Engine::query) clones
-/// one — bumps a refcount, and a clone copies the table only when it
-/// interns a string new to it.
+/// every [`Database::project`] result clones one — bumps a refcount, and
+/// a clone copies the table only when it interns a string new to it.
 #[derive(Default, Debug, Clone)]
 pub struct SymbolTable {
     inner: Arc<Interned>,
@@ -636,18 +635,16 @@ impl Database {
         Self::default()
     }
 
-    /// A scratch copy for goal-directed evaluation: the symbol, Skolem and
-    /// predicate tables are copied in full (ids stay aligned, canonical
-    /// rendering works), but only the relations named in `keep` carry
-    /// their rows — every other relation becomes an empty shell.
-    ///
-    /// Sound for evaluating any program whose mentioned predicates are
-    /// all in `keep`: a fixpoint can only read or write relations its
-    /// rules and directives mention, so the shells are never observed.
-    /// Wide extensional relations outside the goal's cone (e.g. attribute
-    /// tables) are what this skips — for point lookups they often
-    /// dominate the cost of a full [`Clone`].
-    pub(crate) fn scratch_for(&self, keep: &crate::fx::FxHashSet<String>) -> Database {
+    /// A copy of the database whose interning tables are shared in full
+    /// (ids stay aligned, canonical rendering works) but whose relations
+    /// carry rows only for the predicates named in `keep` — every other
+    /// relation becomes an empty shell. The serving layer uses this to
+    /// strip derived relations off an epoch snapshot before re-deriving
+    /// them from scratch: for derivation-tree explanations and for the
+    /// differential reference of its lookups.
+    pub fn project(&self, keep: impl IntoIterator<Item = impl AsRef<str>>) -> Database {
+        let keep: crate::fx::FxHashSet<String> =
+            keep.into_iter().map(|s| s.as_ref().to_owned()).collect();
         Database {
             symbols: self.symbols.clone(),
             skolems: self.skolems.clone(),
@@ -667,18 +664,6 @@ impl Database {
                 })
                 .collect(),
         }
-    }
-
-    /// Public projection lens over [`Database::scratch_for`]: a copy of
-    /// the database whose interning tables are shared in full but whose
-    /// relations carry rows only for the predicates named in `keep`.
-    /// The serving layer uses this to strip derived relations off an
-    /// epoch snapshot before re-running a provenance-enabled engine for
-    /// derivation-tree explanations.
-    pub fn project(&self, keep: impl IntoIterator<Item = impl AsRef<str>>) -> Database {
-        let set: crate::fx::FxHashSet<String> =
-            keep.into_iter().map(|s| s.as_ref().to_owned()).collect();
-        self.scratch_for(&set)
     }
 
     /// Read-only view of the symbol interner. The durable-storage layer
@@ -1515,9 +1500,7 @@ mod tests {
                 "pred {p}: name was deep-copied"
             );
         }
-        let mut keep = crate::fx::FxHashSet::default();
-        keep.insert("own".to_owned());
-        let scratch = db.scratch_for(&keep);
+        let scratch = db.project(["own"]);
         for p in 0..db.pred_count() as u32 {
             assert!(std::ptr::eq(db.pred_name(p), scratch.pred_name(p)));
         }

@@ -39,12 +39,12 @@ pub(crate) mod resolve;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::analysis::{adorn, analyze_with, AnalysisConfig};
-use crate::ast::{Directive, Lit, PostOp, Program, Query};
+use crate::analysis::{analyze_with, AnalysisConfig};
+use crate::ast::{Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
 use crate::db::{Database, ProvEntry, Relations};
 use crate::error::{DatalogError, Result};
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::FxHashMap;
 use crate::value::{Const, Tuple};
 
 use agg::AggStore;
@@ -282,111 +282,52 @@ impl Engine {
 
     /// Runs the program to fixpoint over `db`.
     pub fn run(&self, db: &mut Database) -> Result<RunStats> {
-        run_compiled(
-            &self.program,
-            &self.compiled,
-            &self.registry,
-            &self.options,
-            &[],
-            db,
-        )
-    }
+        let (compiled, registry, options) = (&self.compiled, &self.registry, &self.options);
+        let start = Instant::now();
+        let rules = resolve_rules(&self.program, db)?;
+        if options.provenance {
+            for rel in db.relations.iter_mut().filter(|r| !r.tracks_prov()) {
+                Arc::make_mut(rel).set_track_prov(true);
+            }
+        }
+        let mut stats = RunStats::default();
+        let mut agg = AggStore::default();
+        let mut ws = Workspace::default();
 
-    /// Evaluates a single goal, e.g. `control("c1", X)?`, goal-directed.
-    ///
-    /// The goal is parsed ([`Query::parse`]), the program is rewritten by
-    /// the demand (magic-sets) transformation
-    /// ([`crate::analysis::adorn::rewrite`]) so only facts relevant to
-    /// the goal's bound constants are derived, and the rewritten program
-    /// is planned and evaluated on a scratch copy of `db` — the caller's
-    /// database is never mutated. When the goal cannot be
-    /// demand-restricted (all-free pattern, extensional predicate,
-    /// negation in the cone, or re-analysis rejected the rewrite), the
-    /// engine transparently falls back to full bottom-up evaluation; the
-    /// answer is identical either way, only the work differs
-    /// ([`QueryAnswer::demanded`] tells which path ran).
-    pub fn query(&self, db: &Database, goal: &str) -> Result<QueryAnswer> {
-        let q = Query::parse(goal)?;
-        let rw = adorn::rewrite(&self.program, &q)?;
-        let mut demanded = rw.demanded;
-        let mut fallback_reason = rw.fallback_reason.clone();
-        let mut result_pred = rw.result_pred.clone();
-        let mut work;
-        let stats = if demanded {
-            match resolve::compile(&rw.program) {
-                Ok(compiled) => {
-                    // The scratch copy carries rows only for relations the
-                    // rewritten program can observe — the goal's cone plus
-                    // the answer relation. Attribute tables outside the
-                    // cone stay behind, which for point lookups is most of
-                    // the copying work.
-                    let mut keep = mentioned_preds(&rw.program);
-                    keep.insert(result_pred.clone());
-                    work = db.scratch_for(&keep);
-                    run_compiled(
-                        &rw.program,
-                        &compiled,
-                        &self.registry,
-                        &self.options,
-                        &rw.magic_preds,
-                        &mut work,
-                    )?
-                }
-                Err(e) => {
-                    demanded = false;
-                    fallback_reason = Some(format!("rewritten program failed to compile: {e}"));
-                    result_pred = q.pred.clone();
-                    work = db.clone();
-                    self.run(&mut work)?
+        for (si, stratum) in compiled.strata.iter().enumerate() {
+            stats.strata += 1;
+            run_stratum(
+                &rules, stratum, si, db, registry, options, &mut agg, &mut ws, &mut stats,
+            )?;
+            // A posted predicate whose readers are all subsumption-safe is
+            // compacted as soon as its stratum converges, so later strata
+            // join one row per group instead of every intermediate emission
+            // (DESIGN §9, "When a posted predicate is compacted").
+            if options.apply_post {
+                for post in compiled
+                    .posts
+                    .iter()
+                    .filter(|p| p.compacts_at() == Some(si))
+                {
+                    apply_post(db, &post.pred, &post.op);
                 }
             }
-        } else {
-            work = db.clone();
-            self.run(&mut work)?
-        };
-        let rows = goal_matches_in(&work, &result_pred, &q);
-        Ok(QueryAnswer {
-            goal: q,
-            rows,
-            demanded,
-            fallback_reason,
-            report: rw.report,
-            stats,
-        })
-    }
-}
+        }
 
-/// The result of a goal-directed [`Engine::query`].
-#[derive(Debug, Clone)]
-pub struct QueryAnswer {
-    /// The parsed goal.
-    pub goal: Query,
-    /// Matching facts, canonically rendered as `pred(c1, ..., cn)` with
-    /// labelled nulls in structural Skolem form, sorted. This is the
-    /// byte-equivalence contract: identical to rendering the goal
-    /// predicate's matching facts after full bottom-up evaluation.
-    pub rows: Vec<String>,
-    /// True when the demand rewrite restricted evaluation to the goal.
-    pub demanded: bool,
-    /// Why evaluation fell back to the full program, when it did.
-    pub fallback_reason: Option<String>,
-    /// The adornment dataflow summary of the rewrite.
-    pub report: adorn::BindingReport,
-    /// Statistics of the run that produced the answer.
-    pub stats: RunStats,
+        if options.apply_post {
+            for post in compiled.posts.iter().filter(|p| p.compacts_at().is_none()) {
+                apply_post(db, &post.pred, &post.op);
+            }
+        }
+        stats.duration = start.elapsed();
+        Ok(stats)
+    }
 }
 
 /// Canonically renders the facts of `goal`'s predicate that match its
-/// bound constants, sorted — the extraction/comparison lens of
-/// [`Engine::query`] and the query differential tests.
+/// bound constants, sorted — the read path of `vadalink query` and serve
+/// lookups, and the comparison lens of the differential tests.
 pub fn goal_matches(db: &Database, goal: &Query) -> Vec<String> {
-    goal_matches_in(db, &goal.pred, goal)
-}
-
-/// As [`goal_matches`], reading relation `pred` but rendering rows under
-/// the goal's predicate name (the demand rewrite stores answers in the
-/// goal's adorned variant).
-fn goal_matches_in(db: &Database, pred: &str, goal: &Query) -> Vec<String> {
     let mut pattern: Vec<Option<Const>> = Vec::with_capacity(goal.args.len());
     for a in &goal.args {
         pattern.push(match a {
@@ -402,7 +343,7 @@ fn goal_matches_in(db: &Database, pred: &str, goal: &Query) -> Vec<String> {
         });
     }
     let mut out: Vec<String> = db
-        .query(pred, &pattern)
+        .query(&goal.pred, &pattern)
         .into_iter()
         .map(|row| {
             let parts: Vec<String> = row.iter().map(|c| db.canonical(*c)).collect();
@@ -411,87 +352,6 @@ fn goal_matches_in(db: &Database, pred: &str, goal: &Query) -> Vec<String> {
         .collect();
     out.sort();
     out
-}
-
-/// Every predicate a program's rules and directives mention — the set of
-/// relations a fixpoint over the program can read or write.
-fn mentioned_preds(program: &Program) -> FxHashSet<String> {
-    let mut preds: FxHashSet<String> = program.body_predicates().map(str::to_owned).collect();
-    for rule in &program.rules {
-        for atom in &rule.head {
-            preds.insert(atom.pred.clone());
-        }
-    }
-    for d in &program.directives {
-        match d {
-            Directive::Input(p) | Directive::Output(p) | Directive::Post(p, _) => {
-                preds.insert(p.clone());
-            }
-        }
-    }
-    preds
-}
-
-/// Runs a compiled program to fixpoint over `db` — the shared body of
-/// [`Engine::run`] and the goal-directed path of [`Engine::query`], which
-/// evaluates a rewritten program with the engine's own registry and
-/// options without constructing a second engine.
-///
-/// `demand_hints` names the predicates the cost planner should assume
-/// are small before any statistics exist: the demand (`magic_*`)
-/// relations of a goal-directed rewrite, whose extent is bounded by the
-/// query's bindings rather than the database. [`Engine::run`] passes
-/// none.
-pub(crate) fn run_compiled(
-    program: &Program,
-    compiled: &CompiledProgram,
-    registry: &FunctionRegistry,
-    options: &EngineOptions,
-    demand_hints: &[String],
-    db: &mut Database,
-) -> Result<RunStats> {
-    let start = Instant::now();
-    let rules = resolve_rules(program, db)?;
-    if options.provenance {
-        for rel in db.relations.iter_mut().filter(|r| !r.tracks_prov()) {
-            Arc::make_mut(rel).set_track_prov(true);
-        }
-    }
-    let demand: FxHashSet<u32> = demand_hints
-        .iter()
-        .filter_map(|name| db.find_pred(name))
-        .collect();
-    let mut stats = RunStats::default();
-    let mut agg = AggStore::default();
-    let mut ws = Workspace::default();
-
-    for (si, stratum) in compiled.strata.iter().enumerate() {
-        stats.strata += 1;
-        run_stratum(
-            &rules, stratum, si, db, registry, options, &demand, &mut agg, &mut ws, &mut stats,
-        )?;
-        // A posted predicate whose readers are all subsumption-safe is
-        // compacted as soon as its stratum converges, so later strata join
-        // one row per group instead of every intermediate emission
-        // (DESIGN §9, "When a posted predicate is compacted").
-        if options.apply_post {
-            for post in compiled
-                .posts
-                .iter()
-                .filter(|p| p.compacts_at() == Some(si))
-            {
-                apply_post(db, &post.pred, &post.op);
-            }
-        }
-    }
-
-    if options.apply_post {
-        for post in compiled.posts.iter().filter(|p| p.compacts_at().is_none()) {
-            apply_post(db, &post.pred, &post.op);
-        }
-    }
-    stats.duration = start.elapsed();
-    Ok(stats)
 }
 
 /// Runs one stratum's semi-naive fixpoint over `db`: round 0 evaluates
@@ -509,7 +369,6 @@ pub(crate) fn run_stratum(
     db: &mut Database,
     registry: &FunctionRegistry,
     options: &EngineOptions,
-    demand: &FxHashSet<u32>,
     agg: &mut AggStore,
     ws: &mut Workspace,
     stats: &mut RunStats,
@@ -536,25 +395,13 @@ pub(crate) fn run_stratum(
         // both grew and feed a cost-planned join.
         let mut stats_cache = crate::fx::FxHashMap::default();
         let production = !options.oracle;
-        let sample_cap = if demand.is_empty() {
-            plan::DISTINCT_SAMPLE
-        } else {
-            plan::DEMAND_SAMPLE
-        };
         let stratum_preds_ref = &stratum_preds;
         let mut plan_round = |db: &mut Database| {
-            let mut stratum_stats = if production {
-                StratumStats::collect_reorderable(
-                    rules,
-                    stratum,
-                    &db.relations,
-                    &mut stats_cache,
-                    sample_cap,
-                )
+            let stratum_stats = if production {
+                StratumStats::collect_reorderable(rules, stratum, &db.relations, &mut stats_cache)
             } else {
                 StratumStats::default()
             };
-            stratum_stats.demand = demand.clone();
             let plans = plan_stratum(rules, stratum, &stratum_stats, production);
             // Relations *stable for this stratum* — no stratum rule derives
             // into them, so the round loop's inserts cannot invalidate a

@@ -44,10 +44,6 @@ use crate::value::Const;
 /// Rows sampled per relation when estimating per-column distinct counts.
 pub(crate) const DISTINCT_SAMPLE: usize = 4096;
 
-/// Sampling cap for goal-directed (demand-hinted) runs — see
-/// [`StratumStats::collect_reorderable`].
-pub(crate) const DEMAND_SAMPLE: usize = 256;
-
 /// One column of an atom's unification program.
 #[derive(Debug, Clone)]
 pub(crate) enum TermOp {
@@ -93,8 +89,7 @@ impl AtomStep {
     /// True when every column is part of the probe key. Such a step is a
     /// pure membership test: the relation's dedup map answers it directly
     /// ([`Relation::find`]), so no per-column hash index is registered or
-    /// built for it — for goal-directed runs over large extensional
-    /// relations the saved index build is a measurable share of the query.
+    /// built for it.
     pub fn full_key(&self) -> bool {
         self.ops.len() < 64 && self.mask == (1u64 << self.ops.len()) - 1
     }
@@ -138,10 +133,10 @@ pub(crate) struct PredStats {
 }
 
 impl PredStats {
-    fn measure(rel: &Relation, cap: usize) -> Self {
+    fn measure(rel: &Relation) -> Self {
         let rows = rel.len();
         let arity = if rows > 0 { rel.row(0).len() } else { 0 };
-        let sample = rows.min(cap);
+        let sample = rows.min(DISTINCT_SAMPLE);
         let mut sets: Vec<FxHashSet<Const>> = vec![FxHashSet::default(); arity];
         for row in rel.rows().take(sample) {
             for (i, c) in row.iter().enumerate() {
@@ -170,10 +165,6 @@ impl PredStats {
 #[derive(Debug, Default)]
 pub(crate) struct StratumStats {
     preds: FxHashMap<u32, PredStats>,
-    /// Demand (`magic_*`) predicates of a goal-directed rewrite: known to
-    /// stay small before any rows exist to measure (the `demand_hints`
-    /// that [`crate::eval::Engine::query`] passes to `run_compiled`).
-    pub demand: FxHashSet<u32>,
 }
 
 impl StratumStats {
@@ -182,38 +173,29 @@ impl StratumStats {
         for &ri in stratum {
             for lit in &rules[ri].body {
                 if let RLiteral::Atom { atom, .. } = lit {
-                    preds.entry(atom.pred).or_insert_with(|| {
-                        PredStats::measure(&relations[atom.pred as usize], DISTINCT_SAMPLE)
-                    });
+                    preds
+                        .entry(atom.pred)
+                        .or_insert_with(|| PredStats::measure(&relations[atom.pred as usize]));
                 }
             }
         }
-        StratumStats {
-            preds,
-            demand: FxHashSet::default(),
-        }
+        StratumStats { preds }
     }
 
     /// As [`StratumStats::collect`], but restricted to predicates read by
     /// rules the planner may actually reorder (`pure`), reusing cached
     /// measurements for relations whose row count is unchanged. Sampling
-    /// reads the first `cap` rows and relations only grow, so an
-    /// unchanged length implies unchanged statistics. Identity-planned rules
+    /// reads the first [`DISTINCT_SAMPLE`] rows and relations only grow,
+    /// so an unchanged length implies unchanged statistics. Identity-planned rules
     /// never consult stats for ordering, which makes skipping their
     /// predicates observable only in `--explain-plan` estimates — the hot
     /// replanning loop must not pay to sample wide attribute relations that
     /// only order-sensitive rules read.
-    ///
-    /// `cap` is [`DISTINCT_SAMPLE`] for a full bottom-up run; goal-directed
-    /// runs pass [`DEMAND_SAMPLE`], since a fixpoint driven by a handful of
-    /// magic seed facts touches too few rows for high-precision estimates
-    /// to pay for themselves.
     pub fn collect_reorderable(
         rules: &[RRule],
         stratum: &[usize],
         relations: &Relations,
         cache: &mut FxHashMap<u32, PredStats>,
-        cap: usize,
     ) -> Self {
         let mut preds: FxHashMap<u32, PredStats> = FxHashMap::default();
         for &ri in stratum {
@@ -229,7 +211,7 @@ impl StratumStats {
                     let ps = match cache.get(&atom.pred) {
                         Some(ps) if ps.rows == rel.len() => ps.clone(),
                         _ => {
-                            let ps = PredStats::measure(rel, cap);
+                            let ps = PredStats::measure(rel);
                             cache.insert(atom.pred, ps.clone());
                             ps
                         }
@@ -238,10 +220,7 @@ impl StratumStats {
                 }
             }
         }
-        StratumStats {
-            preds,
-            demand: FxHashSet::default(),
-        }
+        StratumStats { preds }
     }
 
     fn pred(&self, pred: u32) -> Option<&PredStats> {
@@ -249,20 +228,11 @@ impl StratumStats {
     }
 }
 
-/// Adornment-derived prior for an unmeasured demand relation: below the
-/// neutral estimate of 1.0, so cost-based orders drive joins from the
-/// magic guard before its seed facts have been derived.
-const DEMAND_SEED_EST: f64 = 0.5;
-
 /// Estimated matches of `atom` per enumeration, given the bound variables.
 fn estimate(atom: &RAtom, bound: &[bool], stats: &StratumStats) -> f64 {
-    let demanded = stats.demand.contains(&atom.pred);
     let Some(ps) = stats.pred(atom.pred) else {
-        return if demanded { DEMAND_SEED_EST } else { 1.0 };
+        return 1.0;
     };
-    if demanded && ps.rows == 0 {
-        return DEMAND_SEED_EST;
-    }
     let mut est = ps.rows.max(1) as f64;
     for (i, t) in atom.terms.iter().enumerate() {
         let restricted = match t {
@@ -1032,7 +1002,7 @@ mod tests {
         for i in 0..(DISTINCT_SAMPLE as i64 + 500) {
             rel.insert(vec![Const::Int(i), Const::Int(i % 3)].into(), None);
         }
-        let ps = PredStats::measure(&rel, DISTINCT_SAMPLE);
+        let ps = PredStats::measure(&rel);
         // Column 0 is key-like: sample saturates, extrapolate to all rows.
         assert_eq!(ps.distinct[0], ps.rows as f64);
         // Column 1 plateaus at 3 distinct values.

@@ -551,7 +551,6 @@ impl IncrementalEngine {
             &mut self.db,
             self.engine.registry(),
             self.engine.options(),
-            &FxHashSet::default(),
             &mut agg,
             &mut ws,
             &mut scratch,
@@ -633,7 +632,6 @@ impl IncrementalEngine {
             &mut self.db,
             self.engine.registry(),
             self.engine.options(),
-            &FxHashSet::default(),
             &mut AggStore::default(),
             &mut Workspace::default(),
             &mut RunStats::default(),

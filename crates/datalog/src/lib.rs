@@ -65,14 +65,13 @@ pub mod value;
 pub mod warded;
 
 pub use analysis::{
-    analyze, analyze_with, Adornment, Analysis, AnalysisConfig, BindingReport, DiagCode,
-    Diagnostic, MagicRewrite, Severity,
+    analyze, analyze_with, Analysis, AnalysisConfig, DiagCode, Diagnostic, Severity,
 };
 pub use ast::{Program, Query, Rule};
 pub use builtins::FunctionRegistry;
 pub use db::{Database, FactBuilder};
 pub use error::DatalogError;
-pub use eval::{goal_matches, Engine, EngineOptions, QueryAnswer, RunStats};
+pub use eval::{goal_matches, Engine, EngineOptions, RunStats};
 pub use explain::Derivation;
 pub use incr::{ChangeSet, IncrementalEngine, SessionInfo, Update, UpdateStats};
 pub use value::Const;

@@ -151,8 +151,7 @@ impl fmt::Display for Const {
 ///
 /// Shared (`Arc`) so the row store, the dedup map and any index keys all
 /// point at one allocation — and so cloning a [`crate::Database`] (the
-/// scratch copies of goal-directed queries, incremental sessions and
-/// before/after differentials) bumps refcounts instead of reallocating
+/// serve epochs, incremental sessions and before/after differentials) bumps refcounts instead of reallocating
 /// every stored fact.
 pub type Tuple = std::sync::Arc<[Const]>;
 

@@ -28,8 +28,8 @@
 //!
 //! A response's `epoch` field names the committed database state it was
 //! computed against. Within one request the snapshot cannot change, and
-//! answers are **byte-identical** to running the goal-directed
-//! [`datalog::Engine::query`] against that same snapshot — the
+//! answers are **byte-identical** to a from-scratch run over that same
+//! snapshot's base facts ([`GraphService::query_on`]) — the
 //! concurrency differential suite (`tests/concurrency_differential.rs`)
 //! enforces this under concurrent writers at 1/2/8 reader threads.
 

@@ -17,9 +17,9 @@
 //!   fully bound goal probes the dedup map, and only an all-free goal
 //!   walks the relation ([`ServiceStats::scan_lookups`] counts those).
 //!   The engine doubles as the differential reference:
-//!   [`GraphService::query_on`] re-derives the answer goal-directedly on
-//!   the same snapshot, and the concurrency suite asserts the two are
-//!   byte-identical;
+//!   [`GraphService::query_on`] re-derives the answer from scratch over
+//!   the same snapshot's base facts, and the concurrency suite asserts
+//!   the two are byte-identical;
 //! * a provenance-enabled engine for **explanations**: the pinned
 //!   epoch's extensional facts are projected out ([`Database::project`])
 //!   and re-derived once with provenance on, cached per epoch, and
@@ -45,7 +45,7 @@ use store::{DurableStore, StoreConfig, StoreError};
 use datalog::ast::Literal;
 use datalog::{
     Const, Database, DatalogError, Engine, EngineOptions, FunctionRegistry, IncrementalEngine,
-    Program, Query, QueryAnswer,
+    Program, Query,
 };
 
 use crate::epoch::{EpochRegistry, EpochStats, PinnedEpoch};
@@ -162,7 +162,7 @@ impl std::error::Error for DurableOpenError {}
 /// (`Arc<GraphService>`); all methods take `&self`.
 pub struct GraphService {
     name: String,
-    /// Reader engine: goal parsing and the goal-directed reference path.
+    /// Reader engine: the from-scratch reference of [`GraphService::query_on`].
     engine: Engine,
     /// The single writer's maintained session.
     session: Mutex<IncrementalEngine>,
@@ -370,11 +370,20 @@ impl GraphService {
         Ok(datalog::goal_matches(db, &q))
     }
 
-    /// The goal-directed reference: [`Engine::query`] on an arbitrary
-    /// snapshot. Differential tests compare this against
-    /// [`GraphService::lookup_on`] on the same pinned epoch.
-    pub fn query_on(&self, db: &Database, goal: &str) -> Result<QueryAnswer, DatalogError> {
-        self.engine.query(db, goal)
+    /// The differential reference of [`GraphService::lookup_on`]: the
+    /// goal's matching facts after a from-scratch run over `db`'s base
+    /// facts. Every derived relation is projected away and re-derived, so
+    /// a row the maintained session got wrong cannot answer here.
+    /// Differential tests compare this against [`GraphService::lookup_on`]
+    /// on the same pinned epoch.
+    pub fn query_on(&self, db: &Database, goal: &str) -> Result<Vec<String>, DatalogError> {
+        let q = Query::parse(goal)?;
+        let base = (0..db.pred_count() as u32)
+            .map(|p| db.pred_name(p))
+            .filter(|p| !self.derived_preds.contains(*p));
+        let mut scratch = db.project(base);
+        self.engine.run(&mut scratch)?;
+        Ok(datalog::goal_matches(&scratch, &q))
     }
 
     /// Applies a signed-fact update (`vadalink update` file format)
@@ -576,14 +585,32 @@ mod tests {
     }
 
     #[test]
-    fn lookup_matches_goal_directed_reference() {
+    fn lookup_matches_from_scratch_reference() {
         let svc = service();
         let pin = svc.pin();
         for goal in ["reach(\"a\", X)?", "reach(\"b\", X)?", "reach(X, \"c\")?"] {
             let direct = svc.lookup_on(&pin, goal).unwrap();
             let reference = svc.query_on(pin.db(), goal).unwrap();
-            assert_eq!(direct, reference.rows, "{goal}");
+            assert_eq!(direct, reference, "{goal}");
         }
+    }
+
+    #[test]
+    fn reference_rederives_instead_of_reading_the_epoch() {
+        let svc = service();
+        let mut planted = Database::clone(svc.pin().db());
+        planted.assert_str_facts("reach", &[&["c", "a"]]);
+        for goal in ["reach(X, Y)?", "reach(\"c\", X)?"] {
+            let rows = svc.query_on(&planted, goal).unwrap();
+            assert!(
+                !rows.contains(&"reach(c, a)".to_owned()),
+                "{goal}: the reference read the planted row: {rows:?}"
+            );
+        }
+        assert_eq!(
+            svc.query_on(&planted, "reach(X, Y)?").unwrap(),
+            vec!["reach(a, b)", "reach(a, c)", "reach(b, c)"]
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! N reader threads issue point lookups against a [`GraphService`] while
 //! one writer thread applies randomized insert/delete batches of `own`
-//! edges. Every reader answer must be **byte-identical** to running the
-//! goal-directed reference ([`datalog::Engine::query`]) against the same
-//! pinned epoch snapshot — under snapshot isolation a concurrent commit
-//! must never bleed into an in-flight read. Each goal is also re-read on
-//! the same pin, so a snapshot that shifted mid-request would betray
-//! itself twice over.
+//! edges. Every reader answer must be **byte-identical** to the
+//! from-scratch reference ([`serve::GraphService::query_on`]: the program
+//! re-run over the pinned epoch's base facts) — under snapshot isolation
+//! a concurrent commit must never bleed into an in-flight read. Each goal
+//! is also re-read on the same pin, so a snapshot that shifted
+//! mid-request would betray itself twice over.
 //!
 //! The suite runs the paper's control and close-link programs at reader
 //! counts 1, 2 and 8.
@@ -101,7 +101,7 @@ fn random_delta(
 
 /// Spins up `readers` lookup threads against one writer applying
 /// `batches` randomized updates; every answer is checked byte-for-byte
-/// against the goal-directed reference on the reader's pinned snapshot.
+/// against the from-scratch reference on the reader's pinned snapshot.
 fn run_differential(src: &str, with_threshold: bool, output_pred: &'static str, readers: usize) {
     let (svc, names) = service_for(src, with_threshold, 0xD1FF ^ readers as u64);
     let names = Arc::new(names);
@@ -129,12 +129,12 @@ fn run_differential(src: &str, with_threshold: bool, output_pred: &'static str, 
                     let goal = random_goal(&mut rng, &names, output_pred);
                     let pin = svc.pin();
                     let direct = svc.lookup_on(&pin, &goal).expect("lookup");
-                    let reference = svc.query_on(pin.db(), &goal).expect("reference query").rows;
+                    let reference = svc.query_on(pin.db(), &goal).expect("reference query");
                     assert_eq!(
                         direct,
                         reference,
                         "reader {t} iteration {i}: lookup diverged from \
-                         Engine::query on pinned epoch {} for {goal}",
+                         the from-scratch reference on pinned epoch {} for {goal}",
                         pin.id()
                     );
                     // Snapshot stability: the same pin answers the same.
@@ -158,7 +158,7 @@ fn run_differential(src: &str, with_threshold: bool, output_pred: &'static str, 
     let pin = svc.pin();
     let goal = format!("{output_pred}(X, Y)?");
     let direct = svc.lookup_on(&pin, &goal).expect("final lookup");
-    let reference = svc.query_on(pin.db(), &goal).expect("final reference").rows;
+    let reference = svc.query_on(pin.db(), &goal).expect("final reference");
     assert_eq!(direct, reference, "final epoch differential");
 }
 
@@ -195,7 +195,7 @@ fn closelink_differential_8_readers() {
 }
 
 /// Eight readers released together onto an epoch nobody has read yet:
-/// every answer is byte-identical to the goal-directed reference, and
+/// every answer is byte-identical to the from-scratch reference, and
 /// the epoch's lookup indexes were built once per (relation, column) —
 /// on the one shared database, lazily, and only for the columns the
 /// goals bind. The next epoch then starts with the index of the relation
@@ -244,7 +244,7 @@ fn first_readers_of_a_fresh_epoch_share_one_index_build() {
                         "seat(X, \"milan\")?".to_owned(),
                     ] {
                         let direct = svc.lookup_on(&pin, &goal).expect("lookup");
-                        let reference = svc.query_on(pin.db(), &goal).expect("reference").rows;
+                        let reference = svc.query_on(pin.db(), &goal).expect("reference");
                         assert_eq!(direct, reference, "reader {t}: {goal}");
                     }
                 }
