@@ -489,8 +489,8 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
     let s = &cs.stats;
     eprintln!(
         "vadalink: {} inserted, {} deleted in {:.3?} \
-         ({} counting, {} DRed, {} replayed ({} partially, {} partition(s)), \
-         {} skipped unit(s){})",
+         ({} counting, {} DRed, {} replayed ({} partially, {} partition(s); \
+         {} image(s) carried, {} rebuilt), {} skipped unit(s){})",
         cs.inserted.len(),
         cs.deleted.len(),
         s.duration,
@@ -499,6 +499,8 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
         s.replayed_units,
         s.partial_replays,
         s.replayed_partitions,
+        s.images_carried,
+        s.images_rebuilt,
         s.skipped_units,
         if s.full_recompute {
             "; full recompute"

@@ -138,7 +138,8 @@ impl Partition {
     /// the partition variable and one of the tuple's variables: rows of
     /// the unit's relation as of before the update (`db` holds them
     /// still), or of an input relation before or after it. A tuple with
-    /// no such atom gives `None`.
+    /// no such atom gives `None`. A join on one bound column is an index
+    /// read, not a scan.
     pub fn affected(
         &self,
         rules: &[RRule],
@@ -202,17 +203,30 @@ impl Partition {
         }
         let mut proj: Vec<Const> = Vec::new();
         for ((pred, cols, key_col), vals) in &probes {
-            let current = db.relations[*pred as usize].rows();
-            let removed = changed
-                .get(pred)
-                .into_iter()
-                .flat_map(|d| d.del.iter().map(|t| &t[..]));
-            for row in current.chain(removed) {
+            let rel = &db.relations[*pred as usize];
+            let mut reach = |row: &[Const]| {
                 proj.clear();
                 proj.extend(cols.iter().map(|&c| row[c]));
                 if vals.contains(&proj[..]) {
                     keys.insert(row[*key_col]);
                 }
+            };
+            // One bound column reads the relation's lookup index — the
+            // one `Database::query` builds and writes keep current, so
+            // readers of the serve epochs share it. More columns scan.
+            match cols[..] {
+                [col] if !rel.is_empty() => {
+                    let index = rel.column_index(col);
+                    for val in vals {
+                        for &row in index.rows_for(val) {
+                            reach(rel.row(row));
+                        }
+                    }
+                }
+                _ => rel.rows().for_each(&mut reach),
+            }
+            if let Some(d) = changed.get(pred) {
+                d.del.iter().for_each(|t| reach(t));
             }
         }
         Some(keys)
