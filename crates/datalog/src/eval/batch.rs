@@ -495,9 +495,14 @@ fn fill_carries(steps: &mut [BStep], heads: &[(u32, Box<[Src]>)]) {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// Whether every relation the plan scans or probes is currently frozen
-/// with the needed layout. Delta-written relations never are, so
-/// recursive strata fall back to the tuple chain automatically.
+/// Whether every relation the plan scans or probes currently has a
+/// frozen image with the needed layout. A stratum freezes only the
+/// relations it reads stably, but a relation it writes may still carry
+/// an image from before: writes keep a carried image equal to a fresh
+/// build over the current rows (`Relation::check_fresh`), so the batch
+/// path is sound for any relation that has one. A relation without one
+/// (never frozen, or its image dropped by a write) sends the plan down
+/// the tuple chain.
 pub(crate) fn ready(bp: &BatchPlan, relations: &Relations) -> bool {
     bp.needs_cols
         .iter()

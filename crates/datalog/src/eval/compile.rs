@@ -210,8 +210,9 @@ fn compile_plan(rule: &RRule, plan: &RulePlan, delta_li: Option<usize>) -> Compi
         entry: next,
         nvars: rule.nvars,
         n_support: plan.n_support,
-        // Only naive plans lower to batch form: delta plans read the
-        // just-written (never frozen) delta side anyway.
+        // Only naive plans lower to batch form: delta plans read only
+        // the rows the last round wrote, a range the batch form does not
+        // take.
         batch: if delta_li.is_none() {
             batch::lower(rule, plan)
         } else {
