@@ -208,8 +208,7 @@ pub fn augment(
         // sorting keeps the whole loop seed-deterministic.
         new_links.sort_unstable_by(|(c1, a1, b1), (c2, a2, b2)| (c1, a1, b1).cmp(&(c2, a2, b2)));
         for (class, a, b) in new_links {
-            if g.find_link(&class, a, b).is_none() && g.find_link(&class, b, a).is_none() {
-                g.add_link(&class, a, b);
+            if g.add_link_if_unlinked(&class, a, b) {
                 added_this_round += 1;
             }
         }
@@ -309,8 +308,7 @@ pub fn augment_delta(
     }
     new_links.sort_unstable_by(|(c1, a1, b1), (c2, a2, b2)| (c1, a1, b1).cmp(&(c2, a2, b2)));
     for (class, a, b) in new_links {
-        if g.find_link(&class, a, b).is_none() && g.find_link(&class, b, a).is_none() {
-            g.add_link(&class, a, b);
+        if g.add_link_if_unlinked(&class, a, b) {
             stats.links_added += 1;
         }
     }

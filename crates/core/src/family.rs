@@ -10,7 +10,7 @@
 //! `SiblingOf` or `ParentOf` using surname/age/address structure.
 
 use gen::company::FamilyLink;
-use pgraph::NodeId;
+use pgraph::{KeyId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,24 +64,28 @@ pub fn feature_specs() -> Vec<FeatureSpec> {
     ]
 }
 
-/// Per-feature distances for a pair of person nodes. `None` marks missing
-/// features.
-pub fn pair_distances(g: &CompanyGraph, a: NodeId, b: NodeId) -> Vec<Option<f64>> {
-    let exact = |key: &str| -> Option<f64> {
-        match (g.str_prop(a, key), g.str_prop(b, key)) {
+/// Per-feature distances for a pair of person nodes, in
+/// [`feature_specs`] order. `None` marks missing features.
+pub fn pair_distances(g: &CompanyGraph, a: NodeId, b: NodeId) -> [Option<f64>; 4] {
+    let keys = g.person_keys();
+    let exact = |key: KeyId| -> Option<f64> {
+        match (g.str_prop_id(a, key), g.str_prop_id(b, key)) {
             (Some(x), Some(y)) => Some(if x == y { 0.0 } else { 1.0 }),
             _ => None,
         }
     };
-    let surname = match (g.str_prop(a, "surname"), g.str_prop(b, "surname")) {
+    let surname = match (
+        g.str_prop_id(a, keys.surname),
+        g.str_prop_id(b, keys.surname),
+    ) {
         (Some(x), Some(y)) => Some(normalized_levenshtein(x, y)),
         _ => None,
     };
-    let birth = match (g.int_prop(a, "birth"), g.int_prop(b, "birth")) {
+    let birth = match (g.int_prop_id(a, keys.birth), g.int_prop_id(b, keys.birth)) {
         (Some(x), Some(y)) => Some(kinship_gap_distance(x, y)),
         _ => None,
     };
-    vec![surname, exact("address"), birth, exact("birth_city")]
+    [surname, exact(keys.address), birth, exact(keys.birth_city)]
 }
 
 /// Configuration for training the detector.
@@ -131,7 +135,7 @@ impl FamilyDetector {
         let mut pairs: Vec<TrainingPair> = Vec::new();
         for (a, b, _) in &truth.links {
             pairs.push(TrainingPair {
-                distances: pair_distances(g, *a, *b),
+                distances: pair_distances(g, *a, *b).to_vec(),
                 linked: true,
             });
             for _ in 0..cfg.negatives_per_positive {
@@ -148,7 +152,7 @@ impl FamilyDetector {
                     }
                 };
                 pairs.push(TrainingPair {
-                    distances: pair_distances(g, x, y),
+                    distances: pair_distances(g, x, y).to_vec(),
                     linked: false,
                 });
             }
@@ -192,11 +196,15 @@ impl FamilyDetector {
 ///   the Italian register. (Same-surname partners are typed as siblings;
 ///   the two classes are not separable from register features alone.)
 pub fn classify_link(g: &CompanyGraph, a: NodeId, b: NodeId) -> FamilyLink {
-    let same_surname = match (g.str_prop(a, "surname"), g.str_prop(b, "surname")) {
+    let keys = g.person_keys();
+    let same_surname = match (
+        g.str_prop_id(a, keys.surname),
+        g.str_prop_id(b, keys.surname),
+    ) {
         (Some(x), Some(y)) => normalized_levenshtein(x, y) < 0.25,
         _ => false,
     };
-    let gap = match (g.int_prop(a, "birth"), g.int_prop(b, "birth")) {
+    let gap = match (g.int_prop_id(a, keys.birth), g.int_prop_id(b, keys.birth)) {
         (Some(x), Some(y)) => (x - y).abs(),
         _ => 0,
     };

@@ -7,7 +7,7 @@
 //! labels, so the augmented graph remains a regular property graph — the
 //! paper's `U`.
 
-use pgraph::{Csr, EdgeId, LabelId, NodeId, PropertyGraph, Value};
+use pgraph::{Csr, EdgeId, KeyId, LabelId, NodeId, PropertyGraph, Value};
 
 /// Node label of persons.
 pub const PERSON: &str = "Person";
@@ -18,6 +18,20 @@ pub const SHAREHOLDING: &str = "Shareholding";
 /// Edge property holding the share fraction.
 pub const SHARE_W: &str = "w";
 
+/// Interned node property keys of the person features that personal-link
+/// detection compares ([`crate::family::pair_distances`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PersonKeys {
+    /// `surname`.
+    pub surname: KeyId,
+    /// `address`.
+    pub address: KeyId,
+    /// `birth` (days since the epoch).
+    pub birth: KeyId,
+    /// `birth_city`.
+    pub birth_city: KeyId,
+}
+
 /// A typed company ownership graph.
 #[derive(Debug, Clone)]
 pub struct CompanyGraph {
@@ -25,20 +39,35 @@ pub struct CompanyGraph {
     person: LabelId,
     company: LabelId,
     shareholding: LabelId,
+    person_keys: PersonKeys,
 }
 
 impl CompanyGraph {
-    /// Wraps a property graph, interning the standard labels.
+    /// Wraps a property graph, interning the standard labels and the
+    /// person-feature keys. Interning a key sets no property, and a key
+    /// first set after construction resolves to the same id.
     pub fn new(mut g: PropertyGraph) -> Self {
         let person = g.label_id(PERSON);
         let company = g.label_id(COMPANY);
         let shareholding = g.label_id(SHAREHOLDING);
+        let person_keys = PersonKeys {
+            surname: g.key_id("surname"),
+            address: g.key_id("address"),
+            birth: g.key_id("birth"),
+            birth_city: g.key_id("birth_city"),
+        };
         CompanyGraph {
             g,
             person,
             company,
             shareholding,
+            person_keys,
         }
+    }
+
+    /// The interned person-feature keys.
+    pub fn person_keys(&self) -> PersonKeys {
+        self.person_keys
     }
 
     /// The underlying property graph.
@@ -125,19 +154,46 @@ impl CompanyGraph {
         self.g.node_prop(n, key).and_then(|v| v.as_i64())
     }
 
+    /// A string property of a node, by interned key.
+    pub fn str_prop_id(&self, n: NodeId, key: KeyId) -> Option<&str> {
+        self.g.node_prop_id(n, key).and_then(|v| v.as_str())
+    }
+
+    /// An integer property of a node, by interned key.
+    pub fn int_prop_id(&self, n: NodeId, key: KeyId) -> Option<i64> {
+        self.g.node_prop_id(n, key).and_then(|v| v.as_i64())
+    }
+
     /// Adds a derived (intensional) edge with the given class label,
     /// returning its id. Duplicate class edges between the same endpoints
     /// are not added twice; the existing id is returned instead.
     pub fn add_link(&mut self, class: &str, a: NodeId, b: NodeId) -> EdgeId {
-        if let Some(e) = self.find_link(class, a, b) {
+        let label = self.g.label_id(class);
+        if let Some(e) = self.link_edge(label, a, b) {
             return e;
         }
-        self.g.add_edge(class, a, b)
+        self.g.add_edge_with(label, a, b, Vec::new())
+    }
+
+    /// Adds a derived edge `a → b` of `class` unless one of that class
+    /// already joins the pair in either direction; returns whether it was
+    /// added. Resolves the label once and scans each endpoint's out-edges
+    /// once.
+    pub fn add_link_if_unlinked(&mut self, class: &str, a: NodeId, b: NodeId) -> bool {
+        let label = self.g.label_id(class);
+        if self.link_edge(label, a, b).is_some() || self.link_edge(label, b, a).is_some() {
+            return false;
+        }
+        self.g.add_edge_with(label, a, b, Vec::new());
+        true
     }
 
     /// Finds a derived edge of `class` from `a` to `b`.
     pub fn find_link(&self, class: &str, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        let label = self.g.find_label(class)?;
+        self.link_edge(self.g.find_label(class)?, a, b)
+    }
+
+    fn link_edge(&self, label: LabelId, a: NodeId, b: NodeId) -> Option<EdgeId> {
         self.g
             .out_edges(a)
             .iter()
@@ -314,6 +370,18 @@ mod tests {
         assert_eq!(g.share_edges().count(), 3, "shareholdings unchanged");
         assert!(g.find_link("Control", p, d).is_some());
         assert!(g.find_link("CloseLink", p, d).is_none());
+    }
+
+    #[test]
+    fn add_link_if_unlinked_checks_both_directions() {
+        let (mut g, p, c, d) = tiny();
+        assert!(g.add_link_if_unlinked("PartnerOf", p, d));
+        assert!(!g.add_link_if_unlinked("PartnerOf", p, d));
+        assert!(!g.add_link_if_unlinked("PartnerOf", d, p), "reverse pair");
+        assert!(g.add_link_if_unlinked("SiblingOf", d, p), "other class");
+        assert!(g.add_link_if_unlinked("PartnerOf", p, c));
+        assert_eq!(g.links_of("PartnerOf"), vec![(p, d), (p, c)]);
+        assert_eq!(g.links_of("SiblingOf"), vec![(d, p)]);
     }
 
     #[test]

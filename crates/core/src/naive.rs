@@ -36,8 +36,7 @@ pub fn naive_augment(g: &mut CompanyGraph, candidates: &[&dyn CandidatePredicate
             }
         }
         for (class, a, b) in new_links {
-            if g.find_link(&class, a, b).is_none() && g.find_link(&class, b, a).is_none() {
-                g.add_link(&class, a, b);
+            if g.add_link_if_unlinked(&class, a, b) {
                 stats.links_added += 1;
             }
         }

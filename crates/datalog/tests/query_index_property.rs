@@ -4,11 +4,12 @@
 //!
 //! The oracle is written here, not borrowed from the library: walk
 //! `Relation::rows()` and keep the rows equal to the pattern at every
-//! bound position. Random scripts interleave the three kinds of mutation
-//! that must drop an index — `assert_fact` (insert), `retract_fact`
-//! (compacting removal) and an `@post` pass (`replace_all`) — with
-//! lookups binding 0, 1, 2 or all 3 columns, and with clones that are
-//! then mutated while the original keeps answering from its own index.
+//! bound position. Random scripts interleave three kinds of mutation —
+//! `assert_fact` (insert) and `retract_fact` (compacting removal), which
+//! carry a built index forward, and an `@post` pass (`replace_all`), which
+//! drops it — with lookups binding 0, 1, 2 or all 3 columns, and with
+//! clones that are then mutated while the original keeps answering from
+//! its own index.
 //! The value pool is chosen for the equalities an index could get wrong:
 //! `Int(1)` / `Float(1.0)` (equal across types), `0.0` / `-0.0` (not
 //! equal), symbols, labelled nulls and a boolean.

@@ -31,6 +31,14 @@
 //! shard updates the same rows from the same frozen state, the summed
 //! deltas overshoot, and high shard counts can degrade the optimum — use
 //! the sequential mode there (it is also faster at that size).
+//!
+//! Both modes run the same per-pair kernel over row slices: the center row
+//! is copied once per (center, context) pair — exact, since it only
+//! changes after the pair's targets are done — and each target's output
+//! row is one `&mut [f32]`, walked by the dot product and the two update
+//! loops in ascending dimension order. That order is part of the output:
+//! a reordered or multi-accumulator dot product changes every embedding
+//! bit, and `sequential_training_is_bit_pinned` fails on it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,6 +169,7 @@ fn train_sequential(
     let d = cfg.dims;
     let mut step = 0usize;
     let mut grad = vec![0.0f32; d];
+    let mut cvec = vec![0.0f32; d];
     for _epoch in 0..cfg.epochs {
         for walk in walks {
             for (ci, &center) in walk.iter().enumerate() {
@@ -174,7 +183,9 @@ fn train_sequential(
                     let lr = cfg.learning_rate * (1.0 - progress).max(0.05);
                     step += 1;
                     grad.iter_mut().for_each(|g| *g = 0.0);
-                    let cvec_idx = center as usize * d;
+                    // The center row cannot change during the k-loop (its
+                    // gradient is applied after), so a copy is exact.
+                    cvec.copy_from_slice(input.vector(center as usize));
                     // Positive pair + negatives.
                     for k in 0..=cfg.negatives {
                         let (target, label) = if k == 0 {
@@ -185,20 +196,19 @@ fn train_sequential(
                         if k > 0 && target == context as usize {
                             continue;
                         }
-                        let ovec_idx = target * d;
+                        let ovec = &mut output[target * d..target * d + d];
                         let mut dot = 0.0f32;
-                        for j in 0..d {
-                            dot += input_at(input, cvec_idx + j) * output[ovec_idx + j];
+                        for (c, o) in cvec.iter().zip(&*ovec) {
+                            dot += c * o;
                         }
                         let g = (label - sigmoid(dot)) * lr;
-                        for j in 0..d {
-                            grad[j] += g * output[ovec_idx + j];
-                            output[ovec_idx + j] += g * input_at(input, cvec_idx + j);
+                        for ((gj, o), c) in grad.iter_mut().zip(ovec.iter_mut()).zip(&cvec) {
+                            *gj += g * *o;
+                            *o += g * c;
                         }
                     }
-                    let cv = input.vector_mut(center as usize);
-                    for j in 0..d {
-                        cv[j] += grad[j];
+                    for (c, gj) in input.vector_mut(center as usize).iter_mut().zip(&grad) {
+                        *c += gj;
                     }
                 }
             }
@@ -417,12 +427,6 @@ fn train_one_walk_sharded(
     }
 }
 
-#[inline]
-fn input_at(e: &Embedding, flat: usize) -> f32 {
-    let d = e.dims();
-    e.vector(flat / d)[flat % d]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,6 +554,65 @@ mod tests {
                 "threads {threads}: intra {intra} should clearly exceed inter {inter}"
             );
         }
+    }
+
+    /// FNV-1a over the bits of every `f32` of an embedding.
+    fn bits_hash(e: &Embedding, mut h: u64) -> u64 {
+        for i in 0..e.len() {
+            for x in e.vector(i) {
+                for b in x.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn sequential_training_is_bit_pinned() {
+        // The augmentation loop's shape (`core::augment::fast_node2vec`):
+        // 300 nodes, two walks of ten per node, dims 32, window 3,
+        // negatives 3, one epoch. Node 299 never appears in a walk, so its
+        // row must come back exactly as initialized.
+        let n = 300u32;
+        let mut walks = Vec::new();
+        let mut s = 0x5EED_u64;
+        for start in 0..n - 1 {
+            for _ in 0..2 {
+                let mut walk = vec![start];
+                for _ in 1..10 {
+                    s = splitmix64(s);
+                    walk.push((s % u64::from(n - 1)) as u32);
+                }
+                walks.push(walk);
+            }
+        }
+        let cfg = SgnsConfig {
+            dims: 32,
+            window: 3,
+            negatives: 3,
+            epochs: 1,
+            learning_rate: 0.05,
+            seed: 0xE5B,
+            threads: 1,
+        };
+        let big = train_sgns(n as usize, &walks, &cfg);
+        // Three nodes with very skewed frequencies: negatives repeat within
+        // a pair and often equal the context (the skipped draw).
+        let skewed: Vec<Vec<u32>> = (0..40)
+            .map(|i| vec![0, 1, 0, 0, 2, 0, 1, 0, (i % 3) as u32, 0])
+            .collect();
+        let small = train_sgns(3, &skewed, &cfg);
+        let init = train_sgns(n as usize, &[], &cfg);
+        assert_eq!(big.vector(299), init.vector(299), "isolated row moved");
+        // Recorded from the training loop as it stood before its rows were
+        // read as slices: any change to the summation order, the RNG draw
+        // order or the learning-rate schedule changes this value.
+        let h = bits_hash(&small, bits_hash(&big, 0xcbf2_9ce4_8422_2325));
+        assert_eq!(
+            h, 0xc49c_b5cd_f20b_715f,
+            "SGNS output bits changed: {h:#018x}"
+        );
     }
 
     #[test]

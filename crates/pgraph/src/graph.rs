@@ -205,7 +205,11 @@ impl PropertyGraph {
 
     /// Returns σ(node, key), if assigned.
     pub fn node_prop(&self, node: NodeId, key: &str) -> Option<&Value> {
-        let key = self.find_key(key)?;
+        self.node_prop_id(node, self.find_key(key)?)
+    }
+
+    /// Returns σ(node, key) for an interned key.
+    pub fn node_prop_id(&self, node: NodeId, key: KeyId) -> Option<&Value> {
         lookup(&self.nodes[node.index()].props, key)
     }
 
