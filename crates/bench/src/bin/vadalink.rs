@@ -489,12 +489,11 @@ fn run_update(opts: &Opts) -> Result<ExitCode, String> {
     let s = &cs.stats;
     eprintln!(
         "vadalink: {} inserted, {} deleted in {:.3?} \
-         ({} counting, {} DRed, {} replayed ({} partially, {} partition(s); \
+         ({} DRed, {} replayed ({} partially, {} partition(s); \
          {} image(s) carried, {} rebuilt), {} skipped unit(s){})",
         cs.inserted.len(),
         cs.deleted.len(),
         s.duration,
-        s.counting_units,
         s.dred_units,
         s.replayed_units,
         s.partial_replays,

@@ -754,8 +754,7 @@ pub(crate) struct RRule {
     /// does not depend on the order it enumerates them in. Gates exactly
     /// two things: the planner may reorder the body
     /// ([`crate::eval::plan`]), and incremental maintenance may keep the
-    /// rule's unit by counting or DRed instead of replay
-    /// ([`crate::incr`]).
+    /// rule's unit by DRed instead of replay ([`crate::incr`]).
     pub pure: bool,
 }
 

@@ -1,27 +1,29 @@
-//! Delta enumeration for maintained units.
+//! Delta enumeration for DRed-maintained units.
 //!
-//! The engine's executor evaluates rules against frozen relation snapshots
-//! and deduplicates at emit time — exactly what derivation *counting* must
-//! not do. This module provides a small interpretive enumerator that walks
-//! a rule body in textual order against explicit per-atom [`RowsView`]s
-//! (old state, new state, or a delta list), yielding every distinct
-//! binding once. Counting maintenance and delete-and-rederive are built on
-//! top of it.
+//! The engine's executor evaluates a rule against whole relations, each
+//! read as it is. Delete-and-rederive needs other readings of the same
+//! relation in one enumeration: one atom pinned to a delta list, the
+//! others reading the state before the update, or the surviving state
+//! without the facts a rederivation may not use. This module provides a
+//! small interpretive enumerator that walks a rule body atom by atom, in
+//! its [`RulePlan`]'s order, against explicit per-atom [`RowsView`]s (old
+//! state, new state, or a delta list), yielding every distinct binding
+//! once. Delete-and-rederive is built on top of it.
 //!
-//! Views express the four states incremental maintenance needs without
+//! Views express the states delete-and-rederive needs without
 //! materialising them. Physical deltas are applied to relations before the
 //! maintained units that read them run, so for an input predicate with
 //! delta `(ins, del)` the relation holds the NEW state and:
 //!
 //! * old state     = `AllMinusPlus(ins_set, del)`
-//! * old ∖ del     = `AllMinus(ins_set)`
 //! * new state     = `All`
-//! * new ∖ ins     = `AllMinus(ins_set)` (same rows, different reading)
 //! * the delta     = `List(del)` / `List(ins)`
 //!
 //! A maintained unit's *own* relations are only touched after its phases
 //! complete, so inside DRed the unit predicates read as `All` (old) until
-//! the overdeletion is applied.
+//! the overdeletion is applied; a rederivation reads them as
+//! `AllMinus(dead)`, the old rows less the overdeleted facts not yet
+//! rederived.
 
 use crate::db::{Database, Relation};
 use crate::error::{DatalogError, Result};
@@ -88,13 +90,15 @@ pub(crate) enum RowsView<'a> {
     List(&'a [Tuple]),
 }
 
-/// A textual-order evaluation plan for one rule: positive atoms in source
-/// order, with every non-atom literal scheduled at the earliest slot where
-/// its variables are bound, and the per-atom bound-position mask for index
-/// probes.
+/// An evaluation plan for one rule: positive atoms in source order, or,
+/// when some variables start bound, first the atoms those variables
+/// reach, then each next atom the first that another bound variable
+/// reaches, all in source order; every non-atom literal scheduled at the
+/// earliest slot where its variables are bound; and the per-atom
+/// bound-position mask for index probes.
 #[derive(Debug)]
 pub(crate) struct RulePlan {
-    /// Body literal index of each positive atom, textual order.
+    /// Body literal index of each positive atom, in plan order.
     pub atoms: Vec<usize>,
     /// Predicate of each atom (parallel to `atoms`).
     pub preds: Vec<u32>,
@@ -108,17 +112,15 @@ pub(crate) struct RulePlan {
 
 impl RulePlan {
     /// Builds a plan. `initially_bound` is non-empty only for rederivation
-    /// plans, where the head variables are pre-bound.
+    /// plans, where the head variables are pre-bound: starting from the
+    /// atoms the head reaches makes testing one fact a few probes instead
+    /// of a scan.
     pub fn build(rule: &RRule, initially_bound: &FxHashSet<u32>) -> Result<RulePlan> {
-        let mut atoms = Vec::new();
-        let mut preds = Vec::new();
+        let mut unplaced = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
         for (li, lit) in rule.body.iter().enumerate() {
             match lit {
-                RLiteral::Atom { atom } => {
-                    atoms.push(li);
-                    preds.push(atom.pred);
-                }
+                RLiteral::Atom { .. } => unplaced.push(li),
                 RLiteral::Agg { .. } => {
                     return Err(DatalogError::Validation(
                         "aggregate rule in a maintained unit".into(),
@@ -127,10 +129,13 @@ impl RulePlan {
                 _ => pending.push(li),
             }
         }
+        let n = unplaced.len();
+        let mut atoms = Vec::with_capacity(n);
+        let mut preds = Vec::with_capacity(n);
         let mut bound: FxHashSet<u32> = initially_bound.clone();
-        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(atoms.len() + 1);
-        let mut masks = Vec::with_capacity(atoms.len());
-        for slot in 0..=atoms.len() {
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(n + 1);
+        let mut masks = Vec::with_capacity(n);
+        for slot in 0..=n {
             if slot > 0 {
                 if let RLiteral::Atom { atom } = &rule.body[atoms[slot - 1]] {
                     collect_atom_vars(atom, &mut bound);
@@ -155,10 +160,29 @@ impl RulePlan {
                 }
             }
             slots.push(here);
-            if slot < atoms.len() {
-                let RLiteral::Atom { atom } = &rule.body[atoms[slot]] else {
-                    unreachable!()
+            if slot < n {
+                let atom_of = |li: usize| match &rule.body[li] {
+                    RLiteral::Atom { atom } => atom,
+                    _ => unreachable!(),
                 };
+                let reached = |li: usize, vars: &FxHashSet<u32>| {
+                    atom_of(li)
+                        .terms
+                        .iter()
+                        .any(|t| matches!(t, RTerm::Var(v) if vars.contains(v)))
+                };
+                let next = if initially_bound.is_empty() {
+                    0
+                } else {
+                    let first = |vars| unplaced.iter().position(|&li| reached(li, vars));
+                    first(initially_bound)
+                        .or_else(|| first(&bound))
+                        .unwrap_or(0)
+                };
+                let li = unplaced.remove(next);
+                let atom = atom_of(li);
+                atoms.push(li);
+                preds.push(atom.pred);
                 let mut mask = 0u64;
                 for (i, t) in atom.terms.iter().enumerate() {
                     let is_bound = match t {

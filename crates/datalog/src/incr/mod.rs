@@ -10,13 +10,14 @@
 //! compare against exactly that, via [`Database::dump_canonical`] so
 //! labelled nulls are compared structurally).
 //!
-//! Strategy selection is per dependency unit (see [`units`]):
-//! non-recursive pure units are maintained by derivation counting,
-//! recursive pure units by delete-and-rederive (DRed), and
+//! Strategy selection is per dependency unit (see [`units`]): pure units,
+//! recursive or not, are maintained by delete-and-rederive (DRed), and
 //! order-sensitive units (aggregates, Skolem invention, external calls,
 //! `@post`) by scoped replay through the engine's own stratum evaluator —
 //! which is byte-faithful because the session keeps symbol interning,
-//! seed rows, and input row order identical to the baseline. A replayed
+//! seed rows, and input row order identical to the baseline. A
+//! non-recursive unit is DRed whose overdeletion stops after its first
+//! round: nothing in its bodies reads what it deletes. A replayed
 //! unit whose fixpoint splits on a recursion-invariant column replays
 //! only the partitions an update reaches ([`units`], "Partitions"). Programs
 //! whose readers of compacted aggregate predicates fail the subsumption
@@ -66,8 +67,6 @@ impl Update {
 /// How an update was propagated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateStats {
-    /// Units maintained by derivation counting.
-    pub counting_units: usize,
     /// Units maintained by delete-and-rederive.
     pub dred_units: usize,
     /// Units re-run through the engine.
@@ -117,8 +116,6 @@ impl ChangeSet {
 /// Which maintenance strategies a session selected (diagnostics).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionInfo {
-    /// Units maintained by derivation counting.
-    pub counting_units: usize,
     /// Units maintained by delete-and-rederive.
     pub dred_units: usize,
     /// Units replayed standalone.
@@ -137,12 +134,10 @@ pub struct IncrementalEngine {
     db: Database,
     rules: Vec<RRule>,
     graph: UnitGraph,
-    /// Forward enumeration plans for rules of maintained units.
+    /// Forward enumeration plans for rules of DRed units.
     plans: FxHashMap<usize, RulePlan>,
     /// Rederivation plans for DRed units, keyed by (rule, head index).
     rederive_plans: FxHashMap<(usize, usize), RulePlan>,
-    /// Derivation counts of counting-unit facts.
-    counts: FxHashMap<(u32, Tuple), u64>,
     /// Derived-predicate facts asserted before the initial run: they are
     /// axioms, never deleted by maintenance, and restored on replay.
     seeds: FxHashSet<(u32, Tuple)>,
@@ -196,12 +191,10 @@ impl IncrementalEngine {
             graph,
             plans: FxHashMap::default(),
             rederive_plans: FxHashMap::default(),
-            counts: FxHashMap::default(),
             seeds,
             seed_rows,
         };
         session.build_plans()?;
-        session.init_counts()?;
         let partitioned: Vec<u32> = session
             .graph
             .units
@@ -232,7 +225,6 @@ impl IncrementalEngine {
         };
         for u in &self.graph.units {
             match u.mode {
-                Mode::Counting => info.counting_units += 1,
                 Mode::DRed => info.dred_units += 1,
                 Mode::Replay => info.replay_units += 1,
             }
@@ -383,7 +375,7 @@ impl IncrementalEngine {
     fn build_plans(&mut self) -> Result<()> {
         let empty = FxHashSet::default();
         for unit in &self.graph.units {
-            if !matches!(unit.mode, Mode::Counting | Mode::DRed) {
+            if unit.mode != Mode::DRed {
                 continue;
             }
             let pset: FxHashSet<u32> = unit.preds.iter().copied().collect();
@@ -392,53 +384,17 @@ impl IncrementalEngine {
                 let plan = RulePlan::build(rule, &empty)?;
                 plan.register_indexes(rule, &mut self.db);
                 self.plans.insert(ri, plan);
-                if unit.mode == Mode::DRed {
-                    for (hi, h) in rule.head.iter().enumerate() {
-                        if !pset.contains(&h.pred) {
-                            continue;
-                        }
-                        let mut head_vars = FxHashSet::default();
-                        for t in &h.terms {
-                            collect_rterm_vars(t, &mut head_vars);
-                        }
-                        let plan = RulePlan::build(rule, &head_vars)?;
-                        plan.register_indexes(rule, &mut self.db);
-                        self.rederive_plans.insert((ri, hi), plan);
+                for (hi, h) in rule.head.iter().enumerate() {
+                    if !pset.contains(&h.pred) {
+                        continue;
                     }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Initial derivation counts: enumerate every counting rule against
-    /// the post-run state. For non-recursive pure units this reproduces
-    /// exactly the engine's derivations.
-    fn init_counts(&mut self) -> Result<()> {
-        for unit in &self.graph.units {
-            if unit.mode != Mode::Counting {
-                continue;
-            }
-            for &ri in &unit.rules {
-                let rule = &self.rules[ri];
-                let plan = &self.plans[&ri];
-                let views = vec![RowsView::All; plan.atoms.len()];
-                let mut binding = vec![None; rule.nvars];
-                let mut err = None;
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        match head_tuple(h, b) {
-                            Ok(t) => *self.counts.entry((h.pred, t)).or_insert(0) += 1,
-                            Err(e) => {
-                                err = Some(e);
-                                return false;
-                            }
-                        }
+                    let mut head_vars = FxHashSet::default();
+                    for t in &h.terms {
+                        collect_rterm_vars(t, &mut head_vars);
                     }
-                    true
-                })?;
-                if let Some(e) = err {
-                    return Err(e);
+                    let plan = RulePlan::build(rule, &head_vars)?;
+                    plan.register_indexes(rule, &mut self.db);
+                    self.rederive_plans.insert((ri, hi), plan);
                 }
             }
         }
@@ -455,73 +411,43 @@ impl IncrementalEngine {
         stats: &mut UpdateStats,
     ) -> Result<()> {
         for i in 0..self.graph.units.len() {
-            match self.graph.units[i].mode {
-                Mode::Replay => {
-                    let unit = &self.graph.units[i];
-                    if !unit.reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let reached = unit
-                        .partition
-                        .as_ref()
-                        .and_then(|part| part.affected(&self.rules, changed, &self.db));
-                    let deltas = match reached {
-                        Some(keys) => {
-                            stats.partial_replays += 1;
-                            stats.replayed_partitions += keys.len();
-                            self.replay_partitions(i, &keys)?
-                        }
-                        None => {
-                            let rules = unit.rules.clone();
-                            let preds = unit.preds.clone();
-                            let stratum = unit.stratum;
-                            let partitioned = unit.partition.is_some();
-                            let deltas = self.replay_scope(&rules, &preds, stratum)?;
-                            if partitioned {
-                                self.keep_tuple_order(preds[0]);
-                            }
-                            deltas
-                        }
-                    };
-                    merge_deltas(changed, deltas);
-                    stats.replayed_units += 1;
-                }
-                Mode::Counting => {
-                    if !self.graph.units[i].reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let deltas = if self.graph.units[i].negated_input_changed(changed) {
-                        // Propagation through negation flips signs; replay
-                        // the unit set-level and rebuild its counts.
-                        let d = self.replay_and_recount(i)?;
-                        stats.replayed_units += 1;
-                        d
-                    } else {
-                        stats.counting_units += 1;
-                        self.counting_maintain(i, changed)?
-                    };
-                    merge_deltas(changed, deltas);
-                }
-                Mode::DRed => {
-                    if !self.graph.units[i].reads_any(changed) {
-                        stats.skipped_units += 1;
-                        continue;
-                    }
-                    let deltas = if self.graph.units[i].negated_input_changed(changed) {
-                        let rules = self.graph.units[i].rules.clone();
-                        let preds = self.graph.units[i].preds.clone();
-                        let stratum = self.graph.units[i].stratum;
-                        stats.replayed_units += 1;
-                        self.replay_scope(&rules, &preds, stratum)?
-                    } else {
-                        stats.dred_units += 1;
-                        self.dred_maintain(i, changed, stats)?
-                    };
-                    merge_deltas(changed, deltas);
-                }
+            let unit = &self.graph.units[i];
+            if !unit.reads_any(changed) {
+                stats.skipped_units += 1;
+                continue;
             }
+            let deltas = if unit.mode == Mode::DRed && !unit.negated_input_changed(changed) {
+                stats.dred_units += 1;
+                self.dred_maintain(i, changed, stats)?
+            } else {
+                // A replayed unit, or a DRed unit whose negated input
+                // changed: propagation through negation flips signs, so
+                // the unit replays instead.
+                stats.replayed_units += 1;
+                let reached = unit
+                    .partition
+                    .as_ref()
+                    .and_then(|part| part.affected(&self.rules, changed, &self.db));
+                match reached {
+                    Some(keys) => {
+                        stats.partial_replays += 1;
+                        stats.replayed_partitions += keys.len();
+                        self.replay_partitions(i, &keys)?
+                    }
+                    None => {
+                        let rules = unit.rules.clone();
+                        let preds = unit.preds.clone();
+                        let stratum = unit.stratum;
+                        let partitioned = unit.partition.is_some();
+                        let deltas = self.replay_scope(&rules, &preds, stratum)?;
+                        if partitioned {
+                            self.keep_tuple_order(preds[0]);
+                        }
+                        deltas
+                    }
+                }
+            };
+            merge_deltas(changed, deltas);
         }
         Ok(())
     }
@@ -696,143 +622,9 @@ impl IncrementalEngine {
         }
     }
 
-    /// Replays a counting unit (negation path) and rebuilds its counts.
-    fn replay_and_recount(&mut self, i: usize) -> Result<Vec<(u32, PredDelta)>> {
-        let rules = self.graph.units[i].rules.clone();
-        let preds = self.graph.units[i].preds.clone();
-        let stratum = self.graph.units[i].stratum;
-        let deltas = self.replay_scope(&rules, &preds, stratum)?;
-        self.counts.retain(|(p, _), _| !preds.contains(p));
-        for &ri in &rules {
-            let rule = &self.rules[ri];
-            let plan = &self.plans[&ri];
-            let views = vec![RowsView::All; plan.atoms.len()];
-            let mut binding = vec![None; rule.nvars];
-            enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                for h in &rule.head {
-                    if let Ok(t) = head_tuple(h, b) {
-                        *self.counts.entry((h.pred, t)).or_insert(0) += 1;
-                    }
-                }
-                true
-            })?;
-        }
-        Ok(deltas)
-    }
-
-    /// Counting maintenance: leftmost-pinned delta enumeration over the
-    /// old state for losses and the new state for gains, then zero
-    /// crossings of the derivation counts become physical changes.
-    fn counting_maintain(
-        &mut self,
-        i: usize,
-        changed: &FxHashMap<u32, PredDelta>,
-    ) -> Result<Vec<(u32, PredDelta)>> {
-        let unit = &self.graph.units[i];
-        let mut lost: FxHashMap<(u32, Tuple), u64> = FxHashMap::default();
-        let mut gained: FxHashMap<(u32, Tuple), u64> = FxHashMap::default();
-        for &ri in &unit.rules {
-            let rule = &self.rules[ri];
-            let plan = &self.plans[&ri];
-            let n = plan.atoms.len();
-            // Losses: instantiations of the OLD state using ≥1 deleted row,
-            // partitioned by the leftmost deleted-row position.
-            for k in 0..n {
-                let Some(dk) = changed.get(&plan.preds[k]) else {
-                    continue;
-                };
-                if dk.del.is_empty() {
-                    continue;
-                }
-                let views: Vec<RowsView<'_>> = (0..n)
-                    .map(|j| {
-                        let dj = changed.get(&plan.preds[j]);
-                        match (j.cmp(&k), dj) {
-                            (std::cmp::Ordering::Equal, _) => RowsView::List(&dk.del),
-                            (std::cmp::Ordering::Less, Some(d)) => RowsView::AllMinus(&d.ins_set),
-                            (std::cmp::Ordering::Greater, Some(d)) => {
-                                RowsView::AllMinusPlus(&d.ins_set, &d.del)
-                            }
-                            (_, None) => RowsView::All,
-                        }
-                    })
-                    .collect();
-                let mut binding = vec![None; rule.nvars];
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        if let Ok(t) = head_tuple(h, b) {
-                            *lost.entry((h.pred, t)).or_insert(0) += 1;
-                        }
-                    }
-                    true
-                })?;
-            }
-            // Gains: instantiations of the NEW state using ≥1 inserted row.
-            for k in 0..n {
-                let Some(dk) = changed.get(&plan.preds[k]) else {
-                    continue;
-                };
-                if dk.ins.is_empty() {
-                    continue;
-                }
-                let views: Vec<RowsView<'_>> = (0..n)
-                    .map(|j| {
-                        let dj = changed.get(&plan.preds[j]);
-                        match (j.cmp(&k), dj) {
-                            (std::cmp::Ordering::Equal, _) => RowsView::List(&dk.ins),
-                            (std::cmp::Ordering::Less, Some(d)) => RowsView::AllMinus(&d.ins_set),
-                            _ => RowsView::All,
-                        }
-                    })
-                    .collect();
-                let mut binding = vec![None; rule.nvars];
-                enumerate(plan, rule, &self.db, &views, &mut binding, &mut |b| {
-                    for h in &rule.head {
-                        if let Ok(t) = head_tuple(h, b) {
-                            *gained.entry((h.pred, t)).or_insert(0) += 1;
-                        }
-                    }
-                    true
-                })?;
-            }
-        }
-        // Zero crossings.
-        let mut keys: Vec<(u32, Tuple)> = lost.keys().chain(gained.keys()).cloned().collect();
-        keys.sort();
-        keys.dedup();
-        let mut out: FxHashMap<u32, PredDelta> = FxHashMap::default();
-        for key in keys {
-            let l = lost.get(&key).copied().unwrap_or(0);
-            let g = gained.get(&key).copied().unwrap_or(0);
-            let seed = self.seeds.contains(&key);
-            let entry = self.counts.entry(key.clone()).or_insert(0);
-            let before = *entry > 0 || seed;
-            debug_assert!(*entry + g >= l, "derivation count underflow");
-            *entry = (*entry + g).saturating_sub(l);
-            let after = *entry > 0 || seed;
-            let gone = *entry == 0;
-            let (p, t) = key;
-            if before && !after {
-                out.entry(p).or_default().push_del(t);
-            } else if !before && after {
-                out.entry(p).or_default().push_ins(t);
-            } else if gone && !seed {
-                self.counts.remove(&(p, t));
-            }
-        }
-        // Physical application.
-        for (p, d) in &out {
-            if !d.del_set.is_empty() {
-                self.db.relation_mut(*p).remove_tuples(&d.del_set);
-            }
-            for t in &d.ins {
-                self.db.relation_mut(*p).insert(t.clone(), None);
-            }
-        }
-        Ok(out.into_iter().collect())
-    }
-
-    /// Delete-and-rederive for a recursive pure unit.
+    /// Delete-and-rederive for a pure unit. Its overdeletion (phase A)
+    /// runs past round 0 only while a rule body reads what the previous
+    /// round deleted, so for a non-recursive unit it is one round.
     fn dred_maintain(
         &mut self,
         i: usize,
@@ -1332,8 +1124,13 @@ mod tests {
 
     /// Opens a session on the init facts, applies each step
     /// incrementally, and after every step compares the session database
-    /// with a from-scratch run over the replayed log.
-    fn differential(src: &str, init: Facts, steps: Vec<Step>) -> IncrementalEngine {
+    /// with a from-scratch run over the replayed log. Returns the session
+    /// and each step's propagation stats.
+    fn differential(
+        src: &str,
+        init: Facts,
+        steps: Vec<Step>,
+    ) -> (IncrementalEngine, Vec<UpdateStats>) {
         let program = Program::parse(src).unwrap();
         let mut db = Database::new();
         for (p, vals) in &init {
@@ -1343,6 +1140,7 @@ mod tests {
         let mut session = IncrementalEngine::new(&program, db).unwrap();
         assert_same(&session, &baseline(&program, &init, &[]), "initial run");
         let mut applied: Vec<Step> = Vec::new();
+        let mut stats = Vec::new();
         for (i, step) in steps.into_iter().enumerate() {
             let mut update = Update::default();
             for (p, vals) in &step.del {
@@ -1353,7 +1151,7 @@ mod tests {
                 let t = tuple(&mut session.db, vals);
                 update.insert.push((p.to_string(), t));
             }
-            session.apply_update(&update).unwrap();
+            stats.push(session.apply_update(&update).unwrap().stats);
             applied.push(step);
             assert_same(
                 &session,
@@ -1361,7 +1159,7 @@ mod tests {
                 &format!("step {i}"),
             );
         }
-        session
+        (session, stats)
     }
 
     fn e(a: &'static str, b: &'static str) -> (&'static str, Vec<V>) {
@@ -1389,14 +1187,14 @@ mod tests {
                 ins: vec![e("b", "b")],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         assert_eq!(session.info().dred_units, 1);
     }
 
     #[test]
-    fn counting_tracks_multiple_derivations() {
-        // p(a) has two derivations through b; deleting one keeps it,
-        // deleting the second removes it.
+    fn dred_tracks_multiple_derivations() {
+        // p(a) has two derivations through b; deleting one keeps it
+        // (overdeleted, then rederived), deleting the second removes it.
         let src = "p(X) :- a(X), b(X, _).";
         let init = vec![
             ("a", vec![V::S("a")]),
@@ -1417,8 +1215,31 @@ mod tests {
                 ins: vec![],
             },
         ];
-        let session = differential(src, init, steps);
-        assert_eq!(session.info().counting_units, 1);
+        let (session, stats) = differential(src, init, steps);
+        assert_eq!(session.info().dred_units, 1);
+        assert_eq!(stats[0].dred_units, 1);
+        assert!(stats[0].rederived > 0, "{:?}", stats[0]);
+    }
+
+    #[test]
+    fn rederivation_plans_start_from_the_atoms_the_head_reaches() {
+        // The generic pipeline's output mapping: testing one g(NX, NY)
+        // fact probes n twice and then finds its c row, where source
+        // order would scan c.
+        let program = Program::parse("g(NX, NY) :- c(X, Y), X != Y, n(X, NX), n(Y, NY).").unwrap();
+        let rules = resolve_rules(&program, &mut Database::new()).unwrap();
+        let rule = &rules[0];
+        let mut head = FxHashSet::default();
+        for t in &rule.head[0].terms {
+            collect_rterm_vars(t, &mut head);
+        }
+        let plan = RulePlan::build(rule, &head).unwrap();
+        assert_eq!(
+            (plan.atoms, plan.masks),
+            (vec![2, 3, 0], vec![0b10, 0b10, 0b11])
+        );
+        let forward = RulePlan::build(rule, &FxHashSet::default()).unwrap();
+        assert_eq!(forward.atoms, [0, 2, 3]);
     }
 
     #[test]
@@ -1481,7 +1302,7 @@ mod tests {
                 ins: vec![own("a", "d", 0.6)],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         let info = session.info();
         assert!(info.replay_units >= 1);
         assert_eq!(info.dred_units, 1);
@@ -1524,7 +1345,7 @@ mod tests {
                 ins: vec![own("q", "y", 0.35)],
             },
         ];
-        let mut session = differential(src, init, steps);
+        let (mut session, _) = differential(src, init, steps);
         assert_eq!(session.info().partitioned_units, 1);
         // q controls y now, so a stake held by y reaches q's and y's
         // partitions, not the other five.
@@ -1607,7 +1428,7 @@ mod tests {
                 ins: vec![],
             },
         ];
-        let session = differential(src, init, steps);
+        let (session, _) = differential(src, init, steps);
         assert!(session.info().full_fallback);
     }
 

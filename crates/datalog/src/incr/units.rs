@@ -5,13 +5,10 @@
 //! `close_link` join — and each deserves its own maintenance strategy.
 //! The *unit graph* splits a program into the strongly connected
 //! components of the predicate dependency graph, topologically ordered,
-//! and classifies every unit into the cheapest maintenance strategy that
-//! is still guaranteed to reproduce a from-scratch run on the post-update
-//! database:
+//! and classifies every unit into one of two strategies, each guaranteed
+//! to reproduce a from-scratch run on the post-update database:
 //!
-//! * [`Mode::Counting`] — non-recursive pure unit: exact derivation
-//!   counts, deletions are count decrements (Gupta–Mumick).
-//! * [`Mode::DRed`] — recursive pure unit: delete-and-rederive.
+//! * [`Mode::DRed`] — pure unit, recursive or not: delete-and-rederive.
 //! * [`Mode::Replay`] — order-sensitive unit (monotonic aggregates,
 //!   Skolem invention, external calls, `@post` compaction) or a pure unit
 //!   that feeds one: its relations are cleared and its rules re-run
@@ -71,9 +68,7 @@ use super::delta::PredDelta;
 /// Maintenance strategy of one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
-    /// Count-based maintenance (non-recursive, pure).
-    Counting,
-    /// Delete-and-rederive (recursive, pure).
+    /// Delete-and-rederive (pure).
     DRed,
     /// Clear and re-run the unit's rules through the engine.
     Replay,
@@ -93,9 +88,6 @@ pub(crate) struct Unit {
     pub neg_inputs: Vec<u32>,
     /// Stratum (negation level) of the unit's predicates.
     pub stratum: usize,
-    /// True when a rule's body reads a unit predicate (self-recursion or
-    /// a multi-predicate component).
-    pub recursive: bool,
     /// Chosen maintenance strategy.
     pub mode: Mode,
     /// For a replayed unit, the column its fixpoint splits on (see the
@@ -456,6 +448,17 @@ pub(crate) fn build_units(
             .copied()
             .unwrap_or(0)
     };
+    // -- posted predicates (auto-compaction, then explicit @post) --------
+    let posted: Vec<(u32, String, PostOp)> = compiled
+        .posts
+        .iter()
+        .filter_map(|post| {
+            let p = db.find_pred(&post.pred)?;
+            Some((p, post.pred.clone(), post.op.clone()))
+        })
+        .collect();
+    let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
+
     let mut units: Vec<Unit> = Vec::with_capacity(ncomp);
     for &c in &order {
         let preds = {
@@ -466,22 +469,19 @@ pub(crate) fn build_units(
         let pset: FxHashSet<u32> = preds.iter().copied().collect();
         let mut pos_inputs: Vec<u32> = Vec::new();
         let mut neg_inputs: Vec<u32> = Vec::new();
-        let mut recursive = preds.len() > 1;
         for &ri in &unit_rules[c] {
             for lit in &rules[ri].body {
                 match lit {
-                    RLiteral::Atom { atom } => {
-                        if pset.contains(&atom.pred) {
-                            recursive = true;
-                        } else {
-                            pos_inputs.push(atom.pred);
-                        }
+                    RLiteral::Atom { atom } if !pset.contains(&atom.pred) => {
+                        pos_inputs.push(atom.pred)
                     }
                     RLiteral::Negated(a) => neg_inputs.push(a.pred),
                     _ => {}
                 }
             }
         }
+        let impure = unit_rules[c].iter().any(|&ri| !rules[ri].pure);
+        let is_posted = preds.iter().any(|p| posted_preds.contains(p));
         pos_inputs.sort_unstable();
         pos_inputs.dedup();
         neg_inputs.sort_unstable();
@@ -492,8 +492,11 @@ pub(crate) fn build_units(
             preds,
             pos_inputs,
             neg_inputs,
-            recursive,
-            mode: Mode::Counting, // placeholder, classified below
+            mode: if impure || is_posted {
+                Mode::Replay
+            } else {
+                Mode::DRed
+            },
             partition: None,
         });
     }
@@ -504,29 +507,6 @@ pub(crate) fn build_units(
         .flat_map(|(i, u)| u.preds.iter().map(move |&p| (p, i)))
         .collect();
 
-    // -- posted predicates (auto-compaction, then explicit @post) --------
-    let posted: Vec<(u32, String, PostOp)> = compiled
-        .posts
-        .iter()
-        .filter_map(|post| {
-            let p = db.find_pred(&post.pred)?;
-            Some((p, post.pred.clone(), post.op.clone()))
-        })
-        .collect();
-
-    // -- mode classification ---------------------------------------------
-    let posted_preds: FxHashSet<u32> = posted.iter().map(|(p, _, _)| *p).collect();
-    for u in units.iter_mut() {
-        let impure = u.rules.iter().any(|&ri| !rules[ri].pure);
-        let is_posted = u.preds.iter().any(|p| posted_preds.contains(p));
-        u.mode = if impure || is_posted {
-            Mode::Replay
-        } else if u.recursive {
-            Mode::DRed
-        } else {
-            Mode::Counting
-        };
-    }
     // Taint fixpoint: the inputs of a replayed unit must match the
     // baseline byte-for-byte (contents *and* row order) or its aggregate
     // totals can drift by float-accumulation order — so any derived input
@@ -638,19 +618,19 @@ mod tests {
     }
 
     #[test]
-    fn pure_programs_get_counting_and_dred() {
+    fn pure_programs_get_dred_recursive_or_not() {
         let (g, db, _, _) = graph_of(
             "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).\n\
              summary(X) :- t(X, _), n(X).",
         );
         assert_eq!(unit_mode(&g, &db, "t"), Mode::DRed);
-        assert_eq!(unit_mode(&g, &db, "summary"), Mode::Counting);
+        assert_eq!(unit_mode(&g, &db, "summary"), Mode::DRed);
     }
 
     #[test]
     fn aggregate_feeder_is_tainted_to_replay() {
         // base is pure and non-recursive, but its row order feeds the
-        // aggregate in total — so it must be replayed, not counted. The
+        // aggregate in total — so it must be replayed, not DRed. The
         // negation pushes acc a stratum above base, so this exercises the
         // cross-stratum taint rule rather than intra-stratum coupling.
         let (g, db, _, _) = graph_of(
@@ -785,7 +765,7 @@ mod tests {
              unreach(X) :- node(X), not reach(X).",
         );
         assert_eq!(unit_mode(&g, &db, "reach"), Mode::DRed);
-        assert_eq!(unit_mode(&g, &db, "unreach"), Mode::Counting);
+        assert_eq!(unit_mode(&g, &db, "unreach"), Mode::DRed);
         let ru = g.unit_of_pred[&db.find_pred("reach").unwrap()];
         let uu = g.unit_of_pred[&db.find_pred("unreach").unwrap()];
         assert!(g.units[ru].stratum < g.units[uu].stratum);

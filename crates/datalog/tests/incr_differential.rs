@@ -8,9 +8,13 @@
 //! fresh database and running the engine once. Programs come from the
 //! PR 3 synthetic generator — shuffled chain joins, filters, arithmetic
 //! bindings, stratified negation, bounded recursion — so the maintained
-//! paths (counting, DRed, negation replay) all get exercised, including
-//! deletions that sever one derivation path while another survives.
+//! paths (DRed over recursive and non-recursive units, negation replay)
+//! all get exercised, including deletions that sever one derivation path
+//! while another survives.
 
+use std::collections::BTreeSet;
+
+use datalog::ast::Literal;
 use datalog::incr::{IncrementalEngine, Update};
 use datalog::{Database, Engine, Program};
 use proptest::prelude::*;
@@ -253,11 +257,12 @@ fn synthetic_update_logs_match_from_scratch_more_seeds() {
 
 #[test]
 fn maintained_strategies_are_actually_used() {
-    // Meta-test: across the tested seeds the sessions must select both
-    // counting and DRed units — otherwise the differentials above are
-    // exercising replay only.
-    let mut saw_counting = false;
-    let mut saw_dred = false;
+    // Meta-test: across the tested seeds DRed must maintain both a unit
+    // that reads itself and one that does not — otherwise the
+    // differentials above never run overdeletion past its first round,
+    // or never run a non-recursive unit through it.
+    let mut saw_recursive = false;
+    let mut saw_nonrecursive = false;
     for seed in 0..6u64 {
         let src = synth_program(&mut Rng(seed));
         let program = Program::parse(&src).unwrap();
@@ -269,11 +274,31 @@ fn maintained_strategies_are_actually_used() {
         }
         let session = IncrementalEngine::new(&program, db).unwrap();
         let info = session.info();
-        saw_counting |= info.counting_units > 0;
-        saw_dred |= info.dred_units > 0;
         assert!(!info.full_fallback, "pure programs never fall back");
+        // Every generated rule is pure and no two head predicates depend
+        // on each other, so each head predicate is one DRed unit.
+        let heads: BTreeSet<&str> = program
+            .rules
+            .iter()
+            .map(|r| r.head[0].pred.as_str())
+            .collect();
+        assert_eq!(
+            (info.dred_units, info.replay_units),
+            (heads.len(), 0),
+            "seed {seed}\n{src}"
+        );
+        for head in heads {
+            let reads_itself = program.rules.iter().any(|r| {
+                r.head[0].pred == head
+                    && r.body
+                        .iter()
+                        .any(|lit| matches!(lit, Literal::Atom(a) if a.pred == head))
+            });
+            saw_recursive |= reads_itself;
+            saw_nonrecursive |= !reads_itself;
+        }
     }
-    assert!(saw_counting && saw_dred, "strategy coverage lost");
+    assert!(saw_recursive && saw_nonrecursive, "strategy coverage lost");
 }
 
 proptest! {
