@@ -386,11 +386,12 @@ fn run_query(opts: &Opts) -> Result<ExitCode, String> {
         println!("{row}");
     }
     eprintln!(
-        "vadalink: {} answer(s) after a {:.3?} run ({} fact(s) derived, {} round(s))",
+        "vadalink: {} answer(s) after a {:.3?} run ({} fact(s) derived, {} round(s), {} aggregate group(s))",
         rows.len(),
         stats.duration,
         stats.derived,
         stats.rounds,
+        stats.agg_groups,
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -25,42 +25,42 @@
 //! accumulated ownership, Algorithm 6) converge: a contributor's value can
 //! only be refined upward as the fixpoint proceeds, and the total is always
 //! the sum of the best-known contributions — never a double count.
+//!
+//! **Layout.** A run's whole state lives in a few flat vectors (DESIGN
+//! §13): every group tuple and contributor key is copied once into one
+//! `Vec<Const>` arena, groups and contributors are records addressed by
+//! `u32`, and one open-addressing [`Index`] per table maps a key to its
+//! record. A group's contributors chain from the group through
+//! `Contributor::next`, which only `mprod` walks. A new group or
+//! contributor costs amortised vector growth and no allocation of its
+//! own, and dropping the store frees a handful of blocks — on company
+//! control nearly every group has a single contributor, so the misses,
+//! not the hits, are the traffic.
 
 use crate::ast::AggFunc;
-use crate::fx::FxHashMap;
-use crate::value::{Const, Tuple};
+use crate::fx::FxHasher;
+use crate::value::Const;
+use std::hash::{Hash, Hasher};
 
-/// Running state of one aggregation group.
-///
-/// Contributor maxima are nested per rule id so the hot path can look a
-/// contributor up by `&[Const]` (via `Arc<[Const]>: Borrow<[Const]>`)
-/// without allocating a key tuple; a `Tuple` is only materialised the
-/// first time a contributor is seen.
-#[derive(Debug, Clone)]
+/// Ends a contributor chain and marks an empty index slot.
+const NONE: u32 = u32::MAX;
+
+/// Running state of one aggregation group: its record in the store.
+#[derive(Debug)]
 pub(crate) struct AggState {
     func: AggFunc,
-    contributions: FxHashMap<u32, FxHashMap<Tuple, f64>>,
     total: f64,
     /// Last value emitted as a head fact (for `V = m*(...)` rules).
     pub last_emitted: Option<f64>,
+    pred: u32,
+    /// The group tuple is `keys[key..key + len]` of the store's arena.
+    key: u32,
+    len: u32,
+    /// The newest contributor; older ones follow `Contributor::next`.
+    first: u32,
 }
 
 impl AggState {
-    fn new(func: AggFunc) -> Self {
-        let total = match func {
-            AggFunc::Prod => 1.0,
-            AggFunc::Max => f64::NEG_INFINITY,
-            AggFunc::Min => f64::INFINITY,
-            _ => 0.0,
-        };
-        AggState {
-            func,
-            contributions: FxHashMap::default(),
-            total,
-            last_emitted: None,
-        }
-    }
-
     /// Current group value.
     pub fn total(&self) -> f64 {
         self.total
@@ -73,108 +73,36 @@ impl AggState {
             _ => Const::float(self.total),
         }
     }
+}
 
-    /// Applies a contribution; returns `true` if the group value changed by
-    /// more than `epsilon`.
-    ///
-    /// The hit path (contributor already known) is a single slice-keyed
-    /// lookup; only a first-seen contributor allocates its key tuple.
-    fn contribute(&mut self, rule: u32, contributor: &[Const], value: f64, epsilon: f64) -> bool {
-        let old_total = self.total;
-        let per_rule = self.contributions.entry(rule).or_default();
-        match self.func {
-            AggFunc::Sum => {
-                if let Some(slot) = per_rule.get_mut(contributor) {
-                    if value > *slot {
-                        self.total += value - *slot;
-                        *slot = value;
-                    }
-                } else if value > 0.0 {
-                    per_rule.insert(contributor.into(), value);
-                    self.total += value;
-                } else {
-                    per_rule.insert(contributor.into(), 0.0);
-                }
-            }
-            AggFunc::Prod => {
-                let improved = if let Some(slot) = per_rule.get_mut(contributor) {
-                    if value > *slot {
-                        *slot = value;
-                        true
-                    } else {
-                        false
-                    }
-                } else if value > f64::NEG_INFINITY {
-                    per_rule.insert(contributor.into(), value);
-                    true
-                } else {
-                    per_rule.insert(contributor.into(), f64::NEG_INFINITY);
-                    false
-                };
-                if improved {
-                    // Recompute: safe against zeros and float drift. In
-                    // ascending value order, not the maps': a float
-                    // product depends on its order, and bucket order is
-                    // the hasher's business, not the program's.
-                    let maps = self.contributions.values();
-                    let mut maxima: Vec<f64> = maps.flat_map(|m| m.values().copied()).collect();
-                    maxima.sort_unstable_by(f64::total_cmp);
-                    self.total = maxima.into_iter().product();
-                }
-            }
-            AggFunc::Max => {
-                if let Some(slot) = per_rule.get_mut(contributor) {
-                    if value > *slot {
-                        *slot = value;
-                    }
-                } else if value > f64::NEG_INFINITY {
-                    per_rule.insert(contributor.into(), value);
-                } else {
-                    per_rule.insert(contributor.into(), f64::NEG_INFINITY);
-                }
-                if value > self.total {
-                    self.total = value;
-                }
-            }
-            AggFunc::Min => {
-                if let Some(slot) = per_rule.get_mut(contributor) {
-                    if value < *slot {
-                        *slot = value;
-                    }
-                } else if value < f64::INFINITY {
-                    per_rule.insert(contributor.into(), value);
-                } else {
-                    per_rule.insert(contributor.into(), f64::INFINITY);
-                }
-                if value < self.total {
-                    self.total = value;
-                }
-            }
-            AggFunc::Count => {
-                if !per_rule.contains_key(contributor) {
-                    per_rule.insert(contributor.into(), 1.0);
-                    self.total += 1.0;
-                }
-            }
-        }
-        (self.total - old_total).abs() > epsilon
-    }
+/// One contributor's extremal contribution to one group.
+#[derive(Debug)]
+struct Contributor {
+    value: f64,
+    group: u32,
+    rule: u32,
+    /// The contributor key is `keys[key..key + len]` of the arena.
+    key: u32,
+    len: u32,
+    next: u32,
 }
 
 /// All aggregation groups of one engine run.
-///
-/// Groups are nested per head predicate so the group tuple can be looked
-/// up by `&[Const]` without allocating — the fixpoint inner loop calls
-/// `contribute` once per joined row, and in steady state every lookup
-/// hits an existing group.
 #[derive(Debug, Default)]
 pub(crate) struct AggStore {
-    groups: FxHashMap<u32, FxHashMap<Tuple, AggState>>,
+    keys: Vec<Const>,
+    groups: Vec<AggState>,
+    contributors: Vec<Contributor>,
+    group_index: Index,
+    contributor_index: Index,
+    /// `mprod`'s scratch list of contributor maxima.
+    maxima: Vec<f64>,
 }
 
 impl AggStore {
     /// Applies a contribution to `(pred, group)`; returns a mutable
-    /// reference to the state plus whether the value changed.
+    /// reference to the state plus whether the value changed by more
+    /// than `epsilon`.
     #[allow(clippy::too_many_arguments)]
     pub fn contribute(
         &mut self,
@@ -186,140 +114,223 @@ impl AggStore {
         value: f64,
         epsilon: f64,
     ) -> (&mut AggState, bool) {
-        let per_pred = self.groups.entry(pred).or_default();
-        if !per_pred.contains_key(group) {
-            per_pred.insert(group.into(), AggState::new(func));
-        }
-        let state = per_pred.get_mut(group).expect("group state just ensured");
+        let keys = &mut self.keys;
+        let groups = &mut self.groups;
+        let hash = key_hash(u64::from(pred), group);
+        let gid = match self.group_index.find(hash, |id| {
+            let g = &groups[id as usize];
+            g.pred == pred && key_at(keys, g.key, g.len) == group
+        }) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = next_id(groups.len());
+                let (key, len) = intern(keys, group);
+                // The empty product is 1; every other fold starts at the
+                // per-contributor identity.
+                let total = match func {
+                    AggFunc::Prod => 1.0,
+                    _ => identity(func),
+                };
+                groups.push(AggState {
+                    func,
+                    total,
+                    last_emitted: None,
+                    pred,
+                    key,
+                    len,
+                    first: NONE,
+                });
+                self.group_index.insert(slot, hash, id);
+                id
+            }
+        };
+        let state = &mut groups[gid as usize];
         debug_assert_eq!(
             state.func, func,
             "aggregate function mismatch for shared group state"
         );
-        let changed = state.contribute(rule, contributor, value, epsilon);
+        // A first-seen contributor starts at its function's identity, so
+        // the refinement below treats it exactly as a known one.
+        let contributors = &mut self.contributors;
+        let hash = key_hash(u64::from(gid) << 32 | u64::from(rule), contributor);
+        let cid = match self.contributor_index.find(hash, |id| {
+            let c = &contributors[id as usize];
+            c.group == gid && c.rule == rule && key_at(keys, c.key, c.len) == contributor
+        }) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = next_id(contributors.len());
+                let (key, len) = intern(keys, contributor);
+                let next = std::mem::replace(&mut state.first, id);
+                contributors.push(Contributor {
+                    value: identity(func),
+                    group: gid,
+                    rule,
+                    key,
+                    len,
+                    next,
+                });
+                self.contributor_index.insert(slot, hash, id);
+                id
+            }
+        };
+        let slot = &mut contributors[cid as usize].value;
+        let old_total = state.total;
+        match func {
+            AggFunc::Sum => {
+                if value > *slot {
+                    state.total += value - *slot;
+                    *slot = value;
+                }
+            }
+            AggFunc::Prod => {
+                if value > *slot {
+                    *slot = value;
+                    // Recompute: safe against zeros and float drift. In
+                    // ascending value order, not arrival order: a float
+                    // product depends on its order.
+                    self.maxima.clear();
+                    let mut c = state.first;
+                    while c != NONE {
+                        let r = &contributors[c as usize];
+                        self.maxima.push(r.value);
+                        c = r.next;
+                    }
+                    self.maxima.sort_unstable_by(f64::total_cmp);
+                    state.total = self.maxima.iter().product();
+                }
+            }
+            AggFunc::Max => {
+                if value > *slot {
+                    *slot = value;
+                }
+                if value > state.total {
+                    state.total = value;
+                }
+            }
+            AggFunc::Min => {
+                if value < *slot {
+                    *slot = value;
+                }
+                if value < state.total {
+                    state.total = value;
+                }
+            }
+            AggFunc::Count => {
+                if *slot == 0.0 {
+                    *slot = 1.0;
+                    state.total += 1.0;
+                }
+            }
+        }
+        let changed = (state.total - old_total).abs() > epsilon;
         (state, changed)
     }
 
-    /// Number of active groups.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.groups.values().map(|m| m.len()).sum()
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Number of contributors, over all groups.
+    pub fn contributors(&self) -> usize {
+        self.contributors.len()
+    }
+}
+
+/// A new contributor's stored extremum before its first contribution,
+/// and (except for `mprod`, whose empty product is 1) a new group's total.
+fn identity(func: AggFunc) -> f64 {
+    match func {
+        AggFunc::Prod | AggFunc::Max => f64::NEG_INFINITY,
+        AggFunc::Min => f64::INFINITY,
+        AggFunc::Sum | AggFunc::Count => 0.0,
+    }
+}
+
+/// The next record id of a table holding `len` records.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != NONE)
+        .expect("an aggregate table holds fewer than u32::MAX records")
+}
+
+/// Copies `key` into the arena; returns its offset and length.
+fn intern(keys: &mut Vec<Const>, key: &[Const]) -> (u32, u32) {
+    let at = u32::try_from(keys.len()).expect("aggregate key arena fits u32 offsets");
+    keys.extend_from_slice(key);
+    (at, key.len() as u32)
+}
+
+fn key_at(keys: &[Const], at: u32, len: u32) -> &[Const] {
+    &keys[at as usize..(at + len) as usize]
+}
+
+/// The top 32 bits of the Fx hash of `(head, key)`; a multiply-rotate
+/// hash mixes its high bits best, and those are the bits [`Index`] reads.
+fn key_hash(head: u64, key: &[Const]) -> u32 {
+    let mut h = FxHasher::default();
+    head.hash(&mut h);
+    key.hash(&mut h);
+    (h.finish() >> 32) as u32
+}
+
+/// Open-addressing hash index from a key hash to a record id, probed
+/// linearly and kept at most half full. A slot holds the id and the
+/// key's 32-bit hash: the home slot is the hash's top bits, so growing
+/// never reads a key, and a probe compares keys only when hashes agree.
+#[derive(Debug, Default)]
+struct Index {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Index {
+    /// The id among those filed under `hash` that `is_key` accepts, or
+    /// the free slot where that key belongs. Grows first if one more
+    /// entry would pass the load limit, so the slot stays valid for
+    /// [`Index::insert`].
+    fn find(&mut self, hash: u32, mut is_key: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let (id, h) = self.slots[i];
+            if id == NONE {
+                return Err(i);
+            }
+            if h == hash && is_key(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, slot: usize, hash: u32, id: u32) {
+        self.slots[slot] = (id, hash);
+        self.len += 1;
+    }
+
+    fn home(&self, hash: u32) -> usize {
+        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(NONE, 0); cap]);
+        let mask = self.slots.len() - 1;
+        for (id, hash) in old.into_iter().filter(|&(id, _)| id != NONE) {
+            let mut i = self.home(hash);
+            while self.slots[i].0 != NONE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (id, hash);
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(vals: &[i64]) -> Tuple {
-        vals.iter().map(|&i| Const::Int(i)).collect()
-    }
-
-    #[test]
-    fn msum_sums_distinct_contributors() {
-        let mut store = AggStore::default();
-        let (s, c1) = store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[10]), 0.3, 1e-12);
-        assert!(c1);
-        assert_eq!(s.total(), 0.3);
-        let (s, c2) = store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[11]), 0.4, 1e-12);
-        assert!(c2);
-        assert!((s.total() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn msum_takes_per_contributor_max_not_double_count() {
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[10]), 0.3, 1e-12);
-        // Same contributor re-derived with a *larger* partial value
-        // (recursive refinement): total moves to the new value, not the sum.
-        let (s, changed) = store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[10]), 0.5, 1e-12);
-        assert!(changed);
-        assert!((s.total() - 0.5).abs() < 1e-12);
-        // Smaller re-derivation is ignored (monotone).
-        let (s, changed) = store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[10]), 0.2, 1e-12);
-        assert!(!changed);
-        assert!((s.total() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rule_namespacing_shares_the_total() {
-        // Two rules contribute to the same (pred, group) total — the
-        // Algorithm 8 semantics.
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[7]), 0.3, 1e-12);
-        let (s, _) = store.contribute(0, &t(&[1]), AggFunc::Sum, 1, &t(&[7]), 0.4, 1e-12);
-        // Same contributor tuple under different rules: both count.
-        assert!((s.total() - 0.7).abs() < 1e-12);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn groups_are_independent() {
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[1]), AggFunc::Sum, 0, &t(&[7]), 0.3, 1e-12);
-        let (s, _) = store.contribute(0, &t(&[2]), AggFunc::Sum, 0, &t(&[7]), 0.4, 1e-12);
-        assert!((s.total() - 0.4).abs() < 1e-12);
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn mcount_counts_distinct() {
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[]), AggFunc::Count, 0, &t(&[1]), 1.0, 1e-12);
-        store.contribute(0, &t(&[]), AggFunc::Count, 0, &t(&[1]), 1.0, 1e-12);
-        let (s, _) = store.contribute(0, &t(&[]), AggFunc::Count, 0, &t(&[2]), 1.0, 1e-12);
-        assert_eq!(s.total_const(), Const::Int(2));
-    }
-
-    #[test]
-    fn mmax_and_mmin_track_extrema() {
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[]), AggFunc::Max, 0, &t(&[1]), 3.0, 1e-12);
-        let (s, _) = store.contribute(0, &t(&[]), AggFunc::Max, 0, &t(&[2]), 1.0, 1e-12);
-        assert_eq!(s.total(), 3.0);
-        store.contribute(1, &t(&[]), AggFunc::Min, 0, &t(&[1]), 3.0, 1e-12);
-        let (s, _) = store.contribute(1, &t(&[]), AggFunc::Min, 0, &t(&[2]), 1.0, 1e-12);
-        assert_eq!(s.total(), 1.0);
-    }
-
-    #[test]
-    fn mprod_multiplies_contributor_maxima() {
-        let mut store = AggStore::default();
-        store.contribute(0, &t(&[]), AggFunc::Prod, 0, &t(&[1]), 2.0, 1e-12);
-        let (s, _) = store.contribute(0, &t(&[]), AggFunc::Prod, 0, &t(&[2]), 3.0, 1e-12);
-        assert!((s.total() - 6.0).abs() < 1e-12);
-        let (s, _) = store.contribute(0, &t(&[]), AggFunc::Prod, 0, &t(&[1]), 5.0, 1e-12);
-        assert!((s.total() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mprod_does_not_depend_on_arrival_or_bucket_order() {
-        // The same forty maxima arriving forwards and backwards, under
-        // two rule ids: one product, to the bit.
-        let value = |i: i64| 1.0 + 1.0 / (i as f64 + 3.0);
-        let total = |order: &mut dyn Iterator<Item = i64>| {
-            let mut store = AggStore::default();
-            let mut last = 0.0;
-            for i in order {
-                let rule = (i % 2) as u32;
-                last = store
-                    .contribute(0, &t(&[]), AggFunc::Prod, rule, &t(&[i]), value(i), 0.0)
-                    .0
-                    .total();
-            }
-            last.to_bits()
-        };
-        let sorted: f64 = (0..40).map(value).rev().product();
-        assert_eq!(total(&mut (0..40)), sorted.to_bits());
-        assert_eq!(total(&mut (0..40).rev()), sorted.to_bits());
-    }
-
-    #[test]
-    fn epsilon_suppresses_jitter() {
-        let mut store = AggStore::default();
-        let (s, _) = store.contribute(0, &t(&[]), AggFunc::Sum, 0, &t(&[1]), 1.0, 1e-6);
-        s.last_emitted = Some(1.0);
-        let (_, changed) =
-            store.contribute(0, &t(&[]), AggFunc::Sum, 0, &t(&[1]), 1.0 + 1e-9, 1e-6);
-        assert!(!changed);
-    }
-}
+mod tests;

@@ -641,43 +641,47 @@ fn make_agg(rule: &RRule, agg: RAgg, kind: AggKind) -> Stage {
                     let v = term_value(t, &f.binding, f.ctx.skolems)?;
                     f.tuple_buf.push(v);
                 }
-                let head_tuple: Tuple = f.tuple_buf.as_slice().into();
                 let rhs_val = eval_cexpr(&rhs, f)?;
                 let epsilon = f.ctx.epsilon;
                 let (state, _) = f.ctx.agg.contribute(
                     head.pred,
-                    &head_tuple,
+                    &f.tuple_buf,
                     func,
                     rule_idx,
                     &f.key_buf,
                     value,
                     epsilon,
                 );
-                let total = state.total_const();
-                if compare(op, total, rhs_val) {
-                    // Duplicate-skip: re-deriving an existing fact is a
-                    // no-op at insert time.
-                    if f.relations[head.pred as usize].find(&head_tuple).is_none() {
-                        if !f.ctx.provenance {
-                            let seen = f.ctx.ws.emitted.entry(head.pred).or_default();
-                            if !seen.insert(head_tuple.clone()) {
-                                return Ok(());
-                            }
-                            f.ctx.out.push(Derived {
-                                pred: head.pred,
-                                tuple: head_tuple,
-                                prov: None,
-                            });
-                            return Ok(());
-                        }
-                        let prov = make_prov(rule_idx, &f.support, f.ctx.provenance);
-                        f.ctx.out.push(Derived {
-                            pred: head.pred,
-                            tuple: head_tuple,
-                            prov,
-                        });
-                    }
+                // Probe by the buffer; a head tuple is allocated only for
+                // a fact that is emitted.
+                let head_row = f.tuple_buf.as_slice();
+                if !compare(op, state.total_const(), rhs_val)
+                    || f.relations[head.pred as usize].find(head_row).is_some()
+                {
+                    // Below the threshold, or already stored: re-deriving
+                    // an existing fact is a no-op at insert time.
+                    return Ok(());
                 }
+                if !f.ctx.provenance {
+                    let seen = f.ctx.ws.emitted.entry(head.pred).or_default();
+                    if seen.contains(head_row) {
+                        return Ok(());
+                    }
+                    let tuple: Tuple = head_row.into();
+                    seen.insert(tuple.clone());
+                    f.ctx.out.push(Derived {
+                        pred: head.pred,
+                        tuple,
+                        prov: None,
+                    });
+                    return Ok(());
+                }
+                let prov = make_prov(rule_idx, &f.support, f.ctx.provenance);
+                f.ctx.out.push(Derived {
+                    pred: head.pred,
+                    tuple: head_row.into(),
+                    prov,
+                });
                 Ok(())
             })
         }

@@ -111,6 +111,10 @@ pub struct RunStats {
     pub strata: usize,
     /// Wall-clock duration of the run.
     pub duration: Duration,
+    /// Monotonic-aggregate groups the run kept, over all strata.
+    pub agg_groups: usize,
+    /// Contributors to those groups (one per rule and contributor key).
+    pub agg_contributors: usize,
 }
 
 /// A compiled, reusable reasoning engine.
@@ -320,6 +324,8 @@ impl Engine {
                 apply_post(db, &post.pred, &post.op);
             }
         }
+        stats.agg_groups = agg.groups();
+        stats.agg_contributors = agg.contributors();
         stats.duration = start.elapsed();
         Ok(stats)
     }
@@ -1094,6 +1100,32 @@ mod tests {
         let stats = engine.run(&mut db).unwrap();
         assert_eq!(db.fact_count("t"), n);
         assert_eq!(stats.derived, 0);
+    }
+
+    #[test]
+    fn run_reports_the_aggregate_census() {
+        // Two rules share the group of `a`; `b` has its own.
+        let program = Program::parse(
+            "s(X, V) :- e(X, Y, W), V = msum(W, <Y>).
+             s(X, V) :- f(X, Y, W), V = msum(W, <Y>).",
+        )
+        .unwrap();
+        let engine = Engine::new(&program).unwrap();
+        let mut db = Database::new();
+        let [a, b, c] = ["a", "b", "c"].map(|s| db.sym(s));
+        for (pred, x, y, w) in [
+            ("e", a, b, 0.5),
+            ("e", a, c, 0.25),
+            ("e", b, c, 1.0),
+            ("f", a, b, 0.125),
+        ] {
+            db.assert_fact(pred, &[x, y, Const::float(w)]).unwrap();
+        }
+        let stats = engine.run(&mut db).unwrap();
+        assert_eq!((stats.agg_groups, stats.agg_contributors), (2, 4));
+        let plain = Engine::new(&Program::parse("t(X) :- e(X, _, _).").unwrap()).unwrap();
+        let stats = plain.run(&mut db).unwrap();
+        assert_eq!((stats.agg_groups, stats.agg_contributors), (0, 0));
     }
 
     #[test]
