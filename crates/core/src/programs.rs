@@ -365,8 +365,89 @@ mod tests {
                 "{name} program left the warded fragment:\n{}",
                 analysis.render(src)
             );
-            let report = datalog::check_warded(&program);
-            assert!(report.is_warded(), "{name}: {:?}", report.violations);
+        }
+    }
+
+    #[test]
+    fn bundled_programs_keep_their_strata() {
+        // `Engine::stratum_of` for every predicate of every bundled
+        // program: base relations at 0, each cross-component dependency
+        // one layer up.
+        let expected: [(&str, &[(&str, usize)]); 6] = [
+            (
+                CONTROL_PROGRAM,
+                &[("company", 0), ("control", 1), ("own", 0), ("person", 0)],
+            ),
+            (
+                CLOSELINK_PROGRAM,
+                &[
+                    ("acc_own", 1),
+                    ("close_link", 2),
+                    ("company", 0),
+                    ("own", 0),
+                    ("th", 0),
+                ],
+            ),
+            (
+                FAMILY_CONTROL_PROGRAM,
+                &[("control", 0), ("fcontrol", 1), ("member", 0), ("own", 0)],
+            ),
+            (
+                FAMILY_CLOSELINK_PROGRAM,
+                &[
+                    ("acc_own", 0),
+                    ("company", 0),
+                    ("f_close_link", 1),
+                    ("member", 0),
+                    ("th", 0),
+                ],
+            ),
+            (PARTNER_PROGRAM, &[("person_attr", 0), ("person_link", 1)]),
+            (
+                GENERIC_PIPELINE_PROGRAM,
+                &[
+                    ("company_attr", 0),
+                    ("edge_type", 1),
+                    ("g_control", 3),
+                    ("g_ctl", 2),
+                    ("link", 1),
+                    ("node", 1),
+                    ("node_type", 1),
+                    ("own", 0),
+                    ("person_attr", 0),
+                ],
+            ),
+        ];
+        for (src, strata) in expected {
+            // Directive-only predicates have no stratum, and adding them
+            // moves no other predicate.
+            let ghosts = "@output(\"orphan\").\n@post(\"ghost\", \"max(0)\").\n";
+            for src in [src.to_owned(), format!("{ghosts}{src}")] {
+                let program = Program::parse(&src).unwrap();
+                let engine = Engine::new(&program).unwrap();
+                let mut preds: Vec<&str> = program
+                    .rules
+                    .iter()
+                    .flat_map(|r| r.head.iter().map(|h| h.pred.as_str()))
+                    .chain(program.rules.iter().flat_map(|r| {
+                        r.body.iter().filter_map(|l| match l {
+                            datalog::ast::Literal::Atom(a) | datalog::ast::Literal::Negated(a) => {
+                                Some(a.pred.as_str())
+                            }
+                            _ => None,
+                        })
+                    }))
+                    .collect();
+                preds.sort_unstable();
+                preds.dedup();
+                let got: Vec<(&str, usize)> = preds
+                    .iter()
+                    .map(|&p| (p, engine.stratum_of(p).expect("atom predicate")))
+                    .collect();
+                assert_eq!(got, strata, "{src}");
+                assert_eq!(engine.stratum_of("orphan"), None, "{src}");
+                assert_eq!(engine.stratum_of("ghost"), None, "{src}");
+            }
         }
     }
 

@@ -154,16 +154,4 @@ mod tests {
     fn used_binding_is_clean() {
         assert!(lint_codes("p(X, V) :- e(X, W), V = W * 2.").is_empty());
     }
-
-    #[test]
-    fn lints_can_be_disabled() {
-        let a = analyze_with(
-            &Program::parse("p(X) :- e(X, Stray).").unwrap(),
-            &AnalysisConfig {
-                lints: false,
-                ..AnalysisConfig::default()
-            },
-        );
-        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-    }
 }

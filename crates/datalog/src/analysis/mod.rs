@@ -17,12 +17,18 @@
 //!   the declared `@output`s (V009);
 //! * [`lints`] — singleton variables and unused bindings (V010, V011);
 //! * [`warded`] — the paper's wardedness check (Section 4.4), advisory
-//!   because the engine evaluates any stratifiable program (V012).
+//!   because the engine evaluates any stratifiable program (V012);
+//! * [`constprop`] — constant and value-kind propagation: rules that can
+//!   be proven dead (V017–V020).
 //!
-//! [`crate::Engine::new`] runs the analyzer and rejects programs with
-//! error-level diagnostics; [`AnalysisConfig::permissive`] opts out.
-//! Predicate names are interned once into a [`ProgramIndex`] shared by all
-//! passes, so no pass clones name strings in its inner loops.
+//! Only the first three passes can emit errors, and [`crate::Engine`]
+//! construction runs exactly those (`check`): it rejects a program with
+//! any error-level diagnostic and stratifies the dependency graph the
+//! [`strat`] pass built, so the analyzer is the engine's only validator.
+//! The advisory passes run in [`analyze`] / [`analyze_with`] alone, which
+//! `vadalink check` calls. Predicate names are interned once into a
+//! [`ProgramIndex`] shared by all passes, so no pass clones name strings
+//! in its inner loops.
 
 pub mod constprop;
 pub mod diagnostics;
@@ -148,58 +154,28 @@ impl<'p> ProgramIndex<'p> {
     }
 }
 
-/// Configuration of the analyzer: which severities gate engine
-/// construction and how pedantic the pipeline is.
+/// Configuration of the analyzer.
 ///
 /// The default configuration matches the engine's historical behavior:
-/// hard safety violations are errors, implicit existentials (legal
-/// Datalog±) are warnings, and lints run but never gate. The
-/// [`strict`](AnalysisConfig::strict) profile — used by `vadalink check` —
-/// escalates implicit existentials to errors because in hand-authored
-/// programs they are almost always misspelled variables.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// hard safety violations are errors and implicit existentials (legal
+/// Datalog±) are warnings. The [`strict`](AnalysisConfig::strict)
+/// profile — used by `vadalink check` — escalates implicit existentials to
+/// errors because in hand-authored programs they are almost always
+/// misspelled variables.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisConfig {
-    /// Reject programs with error-level diagnostics at
-    /// [`crate::Engine`] construction (default `true`).
-    pub enforce: bool,
     /// Treat implicit existentials (V002) as errors instead of warnings
     /// (default `false`: the engine Skolemizes them, which is the
     /// Datalog± chase and sometimes intended).
     pub strict_existentials: bool,
-    /// Run the advisory passes — reachability, lints, wardedness
-    /// (default `true`; they only ever emit warnings).
-    pub lints: bool,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            enforce: true,
-            strict_existentials: false,
-            lints: true,
-        }
-    }
 }
 
 impl AnalysisConfig {
     /// The pedantic profile of `vadalink check`: V002 escalates to an
-    /// error and all advisory passes run.
+    /// error.
     pub fn strict() -> Self {
         AnalysisConfig {
-            enforce: true,
             strict_existentials: true,
-            lints: true,
-        }
-    }
-
-    /// Opt-out profile: the analyzer still runs on demand but the engine
-    /// accepts programs regardless of diagnostics (pre-analyzer behavior;
-    /// errors then surface at evaluation time, if at all).
-    pub fn permissive() -> Self {
-        AnalysisConfig {
-            enforce: false,
-            strict_existentials: false,
-            lints: true,
         }
     }
 }
@@ -212,6 +188,14 @@ pub struct Analysis {
 }
 
 impl Analysis {
+    /// Orders findings by rule index, then code.
+    pub(crate) fn sorted(mut diagnostics: Vec<Diagnostic>) -> Self {
+        diagnostics.sort_by(|a, b| {
+            (a.rule, a.code, a.severity, &a.message).cmp(&(b.rule, b.code, b.severity, &b.message))
+        });
+        Analysis { diagnostics }
+    }
+
     /// True when no error-level diagnostic was reported.
     pub fn is_clean(&self) -> bool {
         !self.has_errors()
@@ -264,19 +248,25 @@ pub fn analyze(program: &Program) -> Analysis {
 pub fn analyze_with(program: &Program, cfg: &AnalysisConfig) -> Analysis {
     let ix = ProgramIndex::new(program);
     let mut out = Vec::new();
-    safety::run(&ix, cfg, &mut out);
-    schema::run(&ix, cfg, &mut out);
-    strat::run(&ix, cfg, &mut out);
-    if cfg.lints {
-        reachability::run(&ix, cfg, &mut out);
-        lints::run(&ix, cfg, &mut out);
-        warded::run(&ix, cfg, &mut out);
-        constprop::run(&ix, cfg, &mut out);
-    }
-    out.sort_by(|a, b| {
-        (a.rule, a.code, a.severity, &a.message).cmp(&(b.rule, b.code, b.severity, &b.message))
-    });
-    Analysis { diagnostics: out }
+    check(&ix, cfg, &mut out);
+    reachability::run(&ix, cfg, &mut out);
+    lints::run(&ix, cfg, &mut out);
+    warded::run(&ix, cfg, &mut out);
+    constprop::run(&ix, cfg, &mut out);
+    Analysis::sorted(out)
+}
+
+/// Runs the passes that can emit errors — safety, schema and
+/// stratifiability — and returns the dependency graph the last one
+/// checked. [`crate::Engine`] construction runs only these.
+pub(crate) fn check(
+    ix: &ProgramIndex<'_>,
+    cfg: &AnalysisConfig,
+    out: &mut Vec<Diagnostic>,
+) -> strat::DepGraph {
+    safety::run(ix, cfg, out);
+    schema::run(ix, cfg, out);
+    strat::run(ix, cfg, out)
 }
 
 #[cfg(test)]
@@ -332,13 +322,16 @@ mod tests {
     }
 
     #[test]
-    fn analyzer_subsumes_engine_validation() {
-        // Differential check over a small exhaustive grammar: any program
-        // the analyzer accepts (no error-level diagnostics under the
-        // default config) must also pass the engine's internal validation
-        // and stratification. The reverse is deliberately false — the
-        // analyzer is stricter (cross-rule arity, for instance).
+    fn engine_gate_leaves_no_structural_error() {
+        // Exhaustive check over a small grammar: every program is either
+        // rejected by `Engine::new` or constructed and run on a small
+        // database without a structural error — the analyzer is the only
+        // guard in front of the stratifier and the executors. The only
+        // runtime outcomes left are success, a budget stop and a dynamic
+        // type error (value-level typing is outside the analyzer's scope).
         use crate::builtins::FunctionRegistry;
+        use crate::db::Database;
+        use crate::error::DatalogError;
         use crate::eval::{Engine, EngineOptions};
 
         let heads = [
@@ -376,27 +369,45 @@ mod tests {
                 }
             }
         }
+        let opts = EngineOptions {
+            max_facts: 2_000,
+            max_rounds: 200,
+            ..EngineOptions::default()
+        };
         let mut accepted = 0;
         for src in &programs {
             let Ok(program) = Program::parse(src) else {
                 continue;
             };
-            if analyze_with(&program, &AnalysisConfig::default()).has_errors() {
+            let Ok(engine) = Engine::with(&program, FunctionRegistry::default(), opts.clone())
+            else {
                 continue;
-            }
-            accepted += 1;
-            let opts = EngineOptions {
-                analysis: AnalysisConfig::permissive(),
-                ..EngineOptions::default()
             };
-            if let Err(e) = Engine::with(&program, FunctionRegistry::default(), opts) {
-                panic!("analyzer-clean program fails engine validation: {src}\n{e}");
+            accepted += 1;
+            let mut db = Database::new();
+            db.assert_str_facts("e", &[&["a", "b"], &["b", "a"], &["a", "a"]]);
+            db.assert_str_facts("q", &[&["a"]]);
+            match engine.run(&mut db) {
+                Ok(_) | Err(DatalogError::BudgetExceeded(_) | DatalogError::Function(_)) => {}
+                Err(e) => panic!("engine-accepted program fails at run time: {src}\n{e}"),
             }
         }
         assert!(
             accepted > 100,
             "grammar too restrictive: {accepted} accepted"
         );
+    }
+
+    #[test]
+    fn engine_gate_runs_only_the_passes_that_can_reject() {
+        // A singleton variable is a lint (V010): `analyze` reports it,
+        // while the engine's gate never runs the advisory passes.
+        let p = Program::parse("p(X) :- e(X, Stray).").unwrap();
+        let a = analyze(&p);
+        assert!(a.warnings().any(|d| d.code == DiagCode::V010), "{a:?}");
+        let mut out = Vec::new();
+        check(&ProgramIndex::new(&p), &AnalysisConfig::default(), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! their own code (V002) whose severity depends on
 //! [`AnalysisConfig::strict_existentials`].
 //!
-//! Unlike the engine's internal validator this pass does not stop at the
-//! first finding: it reports every violation in every rule so a program
-//! author sees the full picture in one run.
+//! The pass is the engine's only boundness and aggregate-shape check:
+//! [`crate::Engine`] construction runs it and rejects any error. It does
+//! not stop at the first finding: it reports every violation in every
+//! rule so a program author sees the full picture in one run.
 
 use std::collections::HashSet;
 

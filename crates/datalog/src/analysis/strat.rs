@@ -13,55 +13,80 @@
 //! point of Vadalog's aggregation design, and what the paper's company
 //! control query relies on); the pass notes it as V016 info so a reader
 //! knows the program exploits that extension.
+//!
+//! The pass returns the graph it checked (`DepGraph`), and the engine
+//! layers its components into strata.
 
 use crate::ast::Literal;
 
 use super::diagnostics::{DiagCode, Diagnostic, Severity};
 use super::{AnalysisConfig, ProgramIndex};
 
-/// Runs the pass.
-pub fn run(ix: &ProgramIndex<'_>, _cfg: &AnalysisConfig, out: &mut Vec<Diagnostic>) {
-    let n = ix.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // Negative dependencies: (body pred, head pred, rule index).
-    let mut negative: Vec<(usize, usize, usize)> = Vec::new();
-    for (ri, rule) in ix.program.rules.iter().enumerate() {
-        let heads: Vec<usize> = rule
-            .head
-            .iter()
-            .filter_map(|h| ix.id(&h.pred).map(|id| id as usize))
-            .collect();
-        // Conjunctive heads are derived together, so they share a stratum:
-        // link them mutually (mirrors the engine's stratifier).
-        for &h in heads.iter().skip(1) {
-            adj[heads[0]].push(h);
-            adj[h].push(heads[0]);
-        }
-        for lit in &rule.body {
-            match lit {
-                Literal::Atom(a) => {
-                    if let Some(bid) = ix.id(&a.pred) {
-                        for &hid in &heads {
-                            adj[bid as usize].push(hid);
-                        }
+/// The predicate dependency graph over [`ProgramIndex`] ids and its
+/// strongly connected components. The engine's stratifier
+/// ([`crate::eval::resolve::compile`]) layers the same components, so the
+/// program the pass accepts is the program the engine stratifies.
+pub(crate) struct DepGraph {
+    /// `adj[b]` lists every predicate derived by a rule that reads `b`;
+    /// conjunctive heads are linked both ways.
+    pub adj: Vec<Vec<usize>>,
+    /// Component of every predicate ([`sccs`]).
+    pub comp: Vec<usize>,
+    /// Negative dependencies: (body pred, head pred, rule index).
+    negative: Vec<(usize, usize, usize)>,
+}
+
+impl DepGraph {
+    fn new(ix: &ProgramIndex<'_>) -> Self {
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); ix.len()];
+        let mut negative = Vec::new();
+        for (ri, rule) in ix.program.rules.iter().enumerate() {
+            let heads: Vec<usize> = rule
+                .head
+                .iter()
+                .filter_map(|h| ix.id(&h.pred).map(|id| id as usize))
+                .collect();
+            // Conjunctive heads are derived together, so they share a
+            // stratum: link them mutually.
+            for &h in heads.iter().skip(1) {
+                adj[heads[0]].push(h);
+                adj[h].push(heads[0]);
+            }
+            for lit in &rule.body {
+                let (Literal::Atom(a) | Literal::Negated(a)) = lit else {
+                    continue;
+                };
+                let Some(bid) = ix.id(&a.pred) else {
+                    continue;
+                };
+                for &hid in &heads {
+                    adj[bid as usize].push(hid);
+                    if matches!(lit, Literal::Negated(_)) {
+                        negative.push((bid as usize, hid, ri));
                     }
                 }
-                Literal::Negated(a) => {
-                    if let Some(bid) = ix.id(&a.pred) {
-                        for &hid in &heads {
-                            adj[bid as usize].push(hid);
-                            negative.push((bid as usize, hid, ri));
-                        }
-                    }
-                }
-                _ => {}
             }
         }
+        let comp = sccs(&adj);
+        DepGraph {
+            adj,
+            comp,
+            negative,
+        }
     }
-    let comp = sccs(&adj);
+}
+
+/// Runs the pass; returns the dependency graph it checked.
+pub(crate) fn run(
+    ix: &ProgramIndex<'_>,
+    _cfg: &AnalysisConfig,
+    out: &mut Vec<Diagnostic>,
+) -> DepGraph {
+    let graph = DepGraph::new(ix);
+    let (adj, comp) = (&graph.adj, &graph.comp);
 
     let mut reported: Vec<(usize, usize, usize)> = Vec::new();
-    for &(from, to, ri) in &negative {
+    for &(from, to, ri) in &graph.negative {
         if comp[from] != comp[to] || reported.contains(&(from, to, ri)) {
             continue;
         }
@@ -76,7 +101,7 @@ pub fn run(ix: &ProgramIndex<'_>, _cfg: &AnalysisConfig, out: &mut Vec<Diagnosti
                 "program is not stratifiable: {} depends on `not {}` and {}",
                 ix.name(to as u32),
                 ix.name(from as u32),
-                cycle_witness(ix, &adj, &comp, to, from)
+                cycle_witness(ix, adj, comp, to, from)
             ),
         });
     }
@@ -110,6 +135,7 @@ pub fn run(ix: &ProgramIndex<'_>, _cfg: &AnalysisConfig, out: &mut Vec<Diagnosti
             });
         }
     }
+    graph
 }
 
 /// Explains how `from` (the negated predicate) is in turn derived from
@@ -166,8 +192,8 @@ fn cycle_witness(
 }
 
 /// Strongly connected components (iterative Tarjan); returns the component
-/// id of every node.
-fn sccs(adj: &[Vec<usize>]) -> Vec<usize> {
+/// id of every node. Also splits the incremental engine's unit graph.
+pub(crate) fn sccs(adj: &[Vec<usize>]) -> Vec<usize> {
     let n = adj.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];

@@ -35,19 +35,10 @@ use crate::ast::{Literal, Term, VarId};
 use super::diagnostics::{DiagCode, Diagnostic, Severity};
 use super::{term_vars, AnalysisConfig, ProgramIndex};
 
-/// The raw outcome of the wardedness analysis, in interned-id terms.
-/// [`crate::warded::check`] converts it into the public
-/// [`crate::warded::WardedReport`].
-pub(crate) struct WardedOutcome {
-    /// Affected positions as `(predicate id, position)` pairs, sorted.
-    pub affected: Vec<(u32, usize)>,
-    /// Violations as `(rule index, message)` pairs.
-    pub violations: Vec<(usize, String)>,
-}
-
 /// Runs the pass, reporting each violation as a V012 warning.
 pub fn run(ix: &ProgramIndex<'_>, _cfg: &AnalysisConfig, out: &mut Vec<Diagnostic>) {
-    for (ri, message) in compute(ix).violations {
+    let affected = affected_positions(ix);
+    for (ri, message) in violations(ix, &affected) {
         out.push(Diagnostic {
             code: DiagCode::V012,
             severity: Severity::Warning,
@@ -81,8 +72,9 @@ fn body_bound_vars(rule: &crate::ast::Rule) -> HashSet<VarId> {
     bound
 }
 
-/// Computes affected positions and per-rule violations.
-pub(crate) fn compute(ix: &ProgramIndex<'_>) -> WardedOutcome {
+/// Predicate positions that may hold labelled nulls, as
+/// `(predicate id, position)` pairs.
+fn affected_positions(ix: &ProgramIndex<'_>) -> HashSet<(u32, usize)> {
     let mut affected: HashSet<(u32, usize)> = HashSet::new();
     // Base: positions receiving existential variables or Skolem terms.
     for rule in &ix.program.rules {
@@ -130,13 +122,16 @@ pub(crate) fn compute(ix: &ProgramIndex<'_>) -> WardedOutcome {
             }
         }
         if !changed {
-            break;
+            return affected;
         }
     }
+}
 
+/// Per-rule violations as `(rule index, message)` pairs, sorted.
+fn violations(ix: &ProgramIndex<'_>, affected: &HashSet<(u32, usize)>) -> Vec<(usize, String)> {
     let mut violations = Vec::new();
     for (ri, rule) in ix.program.rules.iter().enumerate() {
-        let occurrences = positive_occurrences(ix, rule, &affected);
+        let occurrences = positive_occurrences(ix, rule, affected);
         let mut harmful: Vec<VarId> = occurrences
             .iter()
             .filter(|(_, occ)| !occ.is_empty() && occ.iter().all(|&(_, aff)| aff))
@@ -200,13 +195,8 @@ pub(crate) fn compute(ix: &ProgramIndex<'_>) -> WardedOutcome {
         }
     }
 
-    let mut affected: Vec<(u32, usize)> = affected.into_iter().collect();
-    affected.sort_unstable();
     violations.sort();
-    WardedOutcome {
-        affected,
-        violations,
-    }
+    violations
 }
 
 /// For each variable of the rule, its positive-atom occurrences as
@@ -244,6 +234,109 @@ mod tests {
     use super::super::{analyze_with, AnalysisConfig};
     use super::*;
     use crate::ast::Program;
+
+    /// Affected positions by name, and the violations.
+    type Report = (Vec<(String, usize)>, Vec<(usize, String)>);
+
+    fn report(src: &str) -> Report {
+        let program = Program::parse(src).unwrap();
+        let ix = ProgramIndex::new(&program);
+        let affected = affected_positions(&ix);
+        let violations = violations(&ix, &affected);
+        let affected = affected
+            .into_iter()
+            .map(|(id, i)| (ix.name(id).to_owned(), i))
+            .collect();
+        (affected, violations)
+    }
+
+    #[test]
+    fn plain_datalog_is_warded() {
+        let (affected, violations) = report("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).");
+        assert!(violations.is_empty());
+        assert!(affected.is_empty());
+    }
+
+    #[test]
+    fn control_program_is_warded() {
+        let (_, violations) = report(
+            "control(X, X) :- company(X).\n\
+             control(X, Y) :- control(X, Z), own(Z, Y, W), Z != Y, msum(W, <Z>) > 0.5.",
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn existentials_mark_affected_positions() {
+        let (affected, violations) = report("link(Z, X) :- own(X, _).");
+        assert!(violations.is_empty());
+        assert!(affected.contains(&("link".to_owned(), 0)));
+        assert!(!affected.contains(&("link".to_owned(), 1)));
+    }
+
+    #[test]
+    fn negated_only_variables_are_existential() {
+        // Regression: Y occurs only under negation, which binds nothing,
+        // so the head position receiving Y is affected. An earlier version
+        // let negated atoms bind and missed this.
+        let (affected, _) = report("p(X, Y) :- e(X), not q(Y).");
+        assert!(affected.contains(&("p".to_owned(), 1)), "{affected:?}");
+        assert!(!affected.contains(&("p".to_owned(), 0)), "{affected:?}");
+    }
+
+    #[test]
+    fn affectedness_propagates_through_rules() {
+        let (affected, _) = report(
+            "mk(Z, X) :- src(X).\n\
+             copy(Z) :- mk(Z, _).\n\
+             copy2(Z) :- copy(Z).",
+        );
+        assert!(affected.contains(&("mk".to_owned(), 0)));
+        assert!(affected.contains(&("copy".to_owned(), 0)));
+        assert!(affected.contains(&("copy2".to_owned(), 0)));
+    }
+
+    #[test]
+    fn harmless_join_on_invented_value_is_warded() {
+        // Z is dangerous but occurs in a single atom (the ward); the join
+        // with other atoms happens on the harmless X.
+        let (_, violations) = report(
+            "mk(Z, X) :- src(X).\n\
+             out(Z, Y) :- mk(Z, X), other(X, Y).",
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn dangerous_join_across_atoms_is_a_violation() {
+        // Z may be a null and is joined across two body atoms AND exported
+        // to the head: the classic non-warded pattern.
+        let (_, violations) = report(
+            "mk(Z, X) :- src(X).\n\
+             mk2(Z, X) :- src(X).\n\
+             out(Z) :- mk(Z, X), mk2(Z, Y).",
+        );
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].0, 2);
+    }
+
+    #[test]
+    fn generic_pipeline_program_is_warded() {
+        // The paper's full Algorithm 2+5+4 pipeline stays in the fragment.
+        let (_, violations) = report(
+            r#"
+            node(Z, N) :- company_attr(N, A), Z = #sk_node(N).
+            g_ctl(Z, Z) :- node(Z, _).
+            g_ctl(X, Y) :- g_ctl(X, Z), link(E, Z, Y, W), Z != Y, msum(W, <Z>) > 0.5.
+            g_control(NX, NY) :- g_ctl(X, Y), X != Y, node(X, NX), node(Y, NY).
+            "#,
+        );
+        // g_ctl joins node OIDs across atoms, but only exports the
+        // harmless names NX/NY... the OID X is harmful AND joined across
+        // g_ctl and node — yet not exported to the head, so it is not
+        // dangerous. The program is warded.
+        assert!(violations.is_empty(), "{violations:?}");
+    }
 
     #[test]
     fn violations_surface_as_v012_warnings() {

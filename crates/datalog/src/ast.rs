@@ -370,7 +370,8 @@ impl Rule {
         })
     }
 
-    /// The rule's aggregate, if any (validation enforces at most one).
+    /// The rule's first aggregate, if any (the analyzer rejects a second
+    /// one, V014, before any engine sees the rule).
     pub fn aggregate(&self) -> Option<&Aggregate> {
         self.body.iter().find_map(|l| match l {
             Literal::LetAgg(_, a) => Some(a),

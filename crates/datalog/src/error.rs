@@ -19,8 +19,8 @@ pub enum DatalogError {
     Validation(String),
     /// The static analyzer rejected the program at [`crate::Engine`]
     /// construction: at least one error-level [`Diagnostic`] (the vector
-    /// holds only those). Disable with
-    /// [`crate::AnalysisConfig::permissive`].
+    /// holds only those). Every engine runs this gate; it is the only
+    /// check between the parser and the stratifier.
     Analysis(Vec<Diagnostic>),
     /// Arity or type mismatch when asserting facts.
     BadFact(String),

@@ -1,8 +1,9 @@
 //! The reasoning engine: stratified semi-naive fixpoint with chase-style
 //! existentials and monotonic aggregation.
 //!
-//! An [`Engine`] is compiled once from a [`Program`] (validation +
-//! stratification) and can then be [run](Engine::run) against any
+//! An [`Engine`] is compiled once from a [`Program`] (the analyzer's
+//! safety, schema and stratifiability passes, then the strata they
+//! admit) and can then be [run](Engine::run) against any
 //! [`Database`]. Evaluation proceeds stratum by stratum; within a stratum,
 //! round 0 evaluates every rule naively and subsequent rounds evaluate each
 //! rule once per delta position (positive body atom whose predicate is
@@ -39,7 +40,7 @@ pub(crate) mod resolve;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::analysis::{analyze_with, AnalysisConfig};
+use crate::analysis::{self, Analysis, AnalysisConfig, ProgramIndex};
 use crate::ast::{Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
 use crate::db::{Database, ProvEntry, Relations};
@@ -70,11 +71,10 @@ pub struct EngineOptions {
     /// predicates: when the predicate's stratum converges if every reader
     /// outside it is subsumption-safe, after the fixpoint otherwise.
     pub apply_post: bool,
-    /// Static-analysis configuration applied at engine construction.
-    /// With the default config, programs carrying error-level diagnostics
-    /// are rejected as [`DatalogError::Analysis`];
-    /// [`AnalysisConfig::permissive`] restores the pre-analyzer behavior
-    /// (problems surface at evaluation time, if at all).
+    /// Static-analysis configuration applied at engine construction:
+    /// programs carrying error-level diagnostics of the safety, schema or
+    /// stratifiability passes are rejected as [`DatalogError::Analysis`]
+    /// ([`AnalysisConfig::strict`] also rejects implicit existentials).
     pub analysis: AnalysisConfig,
     /// Evaluate with the reference oracle instead of the production
     /// pipeline: rule bodies in textual literal order, run by the
@@ -143,13 +143,14 @@ impl Engine {
         registry: FunctionRegistry,
         options: EngineOptions,
     ) -> Result<Self> {
-        if options.analysis.enforce {
-            let analysis = analyze_with(program, &options.analysis);
-            if analysis.has_errors() {
-                return Err(DatalogError::Analysis(analysis.into_errors()));
-            }
+        let ix = ProgramIndex::new(program);
+        let mut diagnostics = Vec::new();
+        let graph = analysis::check(&ix, &options.analysis, &mut diagnostics);
+        let analysis = Analysis::sorted(diagnostics);
+        if analysis.has_errors() {
+            return Err(DatalogError::Analysis(analysis.into_errors()));
         }
-        let compiled = resolve::compile(program)?;
+        let compiled = resolve::compile(&ix, &graph);
         Ok(Engine {
             program: program.clone(),
             compiled,
@@ -1179,19 +1180,6 @@ mod tests {
             }
             other => panic!("expected Analysis error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn permissive_analysis_opts_out_of_gating() {
-        let program = Program::parse("p(X, Y) :- e(X, Y). q(X) :- p(X).").unwrap();
-        let options = EngineOptions {
-            analysis: AnalysisConfig::permissive(),
-            ..EngineOptions::default()
-        };
-        // Pre-analyzer behavior: construction succeeds; the arity clash
-        // would surface (or not) during evaluation instead.
-        Engine::with(&program, FunctionRegistry::default(), options)
-            .expect("permissive engine must accept the program");
     }
 
     #[test]

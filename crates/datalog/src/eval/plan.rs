@@ -772,12 +772,13 @@ pub(crate) fn render_rule_report(
 mod tests {
     use super::*;
     use crate::ast::Program;
-    use crate::eval::resolve::{compile, resolve_rules};
+    use crate::eval::resolve::resolve_rules;
+    use crate::eval::Engine;
 
     /// Resolves a program against a database set up by `setup`.
     fn ctx(src: &str, setup: impl FnOnce(&mut Database)) -> (Vec<RRule>, Database) {
         let program = Program::parse(src).unwrap();
-        compile(&program).unwrap();
+        Engine::new(&program).unwrap();
         let mut db = Database::new();
         setup(&mut db);
         let rules = resolve_rules(&program, &mut db).unwrap();

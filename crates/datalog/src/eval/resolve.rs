@@ -1,16 +1,19 @@
-//! Program validation, stratification and rule resolution.
+//! Stratification and rule resolution.
 //!
-//! [`compile`] runs once per [`crate::Engine`]: it checks boundness and
-//! aggregate well-formedness rule by rule, builds the predicate dependency
-//! graph and computes the stratification (negation must not be recursive;
-//! monotonic aggregation may be — that is the point of Vadalog's `m*`
-//! family). [`resolve_rules`] runs per evaluation: it interns predicate
-//! names, constants and Skolem functors into the target database; index
+//! [`compile`] runs once per [`crate::Engine`], after the analyzer has
+//! accepted the program: it layers the components of the analyzer's
+//! predicate dependency graph into strata by longest path (negation is
+//! never recursive by then; monotonic aggregation may be — that is the
+//! point of Vadalog's `m*` family) and schedules the compactions.
+//! [`resolve_rules`] runs per evaluation: it interns predicate names,
+//! constants and Skolem functors into the target database; index
 //! registration happens later, when the cost-based planner knows which
 //! probe keys its chosen join orders actually use.
 
 use std::collections::{HashMap, HashSet};
 
+use crate::analysis::strat::DepGraph;
+use crate::analysis::{expr_vars, term_vars, ProgramIndex};
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{DatalogError, Result};
@@ -51,307 +54,13 @@ impl Post {
     }
 }
 
-fn verr(msg: impl Into<String>) -> DatalogError {
-    DatalogError::Validation(msg.into())
-}
-
-/// Collects the variables of a term into `out`.
-fn term_vars(t: &Term, out: &mut Vec<VarId>) {
-    match t {
-        Term::Var(v) => out.push(*v),
-        Term::Lit(_) => {}
-        Term::Skolem { args, .. } => {
-            for a in args {
-                term_vars(a, out);
-            }
-        }
-    }
-}
-
-fn expr_vars(e: &Expr, out: &mut Vec<VarId>) {
-    match e {
-        Expr::Var(v) => out.push(*v),
-        Expr::Lit(_) => {}
-        Expr::Binary(_, a, b) | Expr::Cmp(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_vars(a, out);
-            }
-        }
-    }
-}
-
-/// Validates one rule; returns the set of body-bound variables.
-fn validate_rule(rule: &Rule, ri: usize) -> Result<HashSet<VarId>> {
-    let label = |m: &str| format!("rule {ri}: {m}");
-    let mut bound: HashSet<VarId> = HashSet::new();
-    let mut agg_seen = false;
-    for (li, lit) in rule.body.iter().enumerate() {
-        if agg_seen {
-            return Err(verr(label(
-                "the aggregate literal must be last in the body",
-            )));
-        }
-        match lit {
-            Literal::Atom(a) => {
-                let mut vs = Vec::new();
-                for t in &a.terms {
-                    if matches!(t, Term::Skolem { .. }) {
-                        return Err(verr(label("Skolem terms are not allowed in body atoms")));
-                    }
-                    term_vars(t, &mut vs);
-                }
-                bound.extend(vs);
-            }
-            Literal::Negated(a) => {
-                let mut vs = Vec::new();
-                for t in &a.terms {
-                    term_vars(t, &mut vs);
-                }
-                for v in vs {
-                    if !bound.contains(&v) {
-                        return Err(verr(label(&format!(
-                            "variable {} under negation is not bound by a preceding atom",
-                            rule.vars[v as usize]
-                        ))));
-                    }
-                }
-            }
-            Literal::Cond(e) => {
-                let mut vs = Vec::new();
-                expr_vars(e, &mut vs);
-                for v in vs {
-                    if !bound.contains(&v) {
-                        return Err(verr(label(&format!(
-                            "variable {} in condition is not bound",
-                            rule.vars[v as usize]
-                        ))));
-                    }
-                }
-            }
-            Literal::Let(v, e) => {
-                let mut vs = Vec::new();
-                expr_vars(e, &mut vs);
-                for u in vs {
-                    if !bound.contains(&u) {
-                        return Err(verr(label(&format!(
-                            "variable {} in binding is not bound",
-                            rule.vars[u as usize]
-                        ))));
-                    }
-                }
-                bound.insert(*v);
-            }
-            Literal::LetAgg(v, agg) => {
-                agg_seen = true;
-                if li + 1 != rule.body.len() {
-                    return Err(verr(label(
-                        "the aggregate literal must be last in the body",
-                    )));
-                }
-                check_agg(rule, agg, &bound, &label)?;
-                if bound.contains(v) {
-                    return Err(verr(label("aggregate target variable is already bound")));
-                }
-                bound.insert(*v);
-                // The aggregate variable must appear exactly once in a
-                // single, skolem-free head atom.
-                if rule.head.len() != 1 {
-                    return Err(verr(label("aggregate rules must have a single head atom")));
-                }
-                let mut occurrences = 0;
-                for t in &rule.head[0].terms {
-                    match t {
-                        Term::Var(u) if u == v => occurrences += 1,
-                        Term::Skolem { .. } => {
-                            return Err(verr(label(
-                                "aggregate rule heads must not contain Skolem terms",
-                            )))
-                        }
-                        _ => {}
-                    }
-                }
-                if occurrences != 1 {
-                    return Err(verr(label(
-                        "the aggregate value must appear exactly once in the head",
-                    )));
-                }
-            }
-            Literal::AggCond { agg, rhs, .. } => {
-                agg_seen = true;
-                if li + 1 != rule.body.len() {
-                    return Err(verr(label(
-                        "the aggregate literal must be last in the body",
-                    )));
-                }
-                check_agg(rule, agg, &bound, &label)?;
-                let mut vs = Vec::new();
-                expr_vars(rhs, &mut vs);
-                for u in vs {
-                    if !bound.contains(&u) {
-                        return Err(verr(label("aggregate comparison right side is not bound")));
-                    }
-                }
-                if rule.head.len() != 1 {
-                    return Err(verr(label("aggregate rules must have a single head atom")));
-                }
-                for t in &rule.head[0].terms {
-                    match t {
-                        Term::Var(u) if !bound.contains(u) => {
-                            return Err(verr(label(
-                                "aggregate rule heads must not contain existential variables",
-                            )))
-                        }
-                        Term::Skolem { .. } => {
-                            return Err(verr(label(
-                                "aggregate rule heads must not contain Skolem terms",
-                            )))
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    // Heads: Skolem args must be bound; ground rules must be fully ground.
-    for h in &rule.head {
-        for t in &h.terms {
-            if let Term::Skolem { args, .. } = t {
-                let mut vs = Vec::new();
-                for a in args {
-                    term_vars(a, &mut vs);
-                }
-                for v in vs {
-                    if !bound.contains(&v) {
-                        return Err(verr(label(&format!(
-                            "Skolem argument {} is not bound by the body",
-                            rule.vars[v as usize]
-                        ))));
-                    }
-                }
-            }
-        }
-    }
-    if rule.body.is_empty() {
-        for h in &rule.head {
-            let mut vs = Vec::new();
-            for t in &h.terms {
-                term_vars(t, &mut vs);
-            }
-            if !vs.is_empty() {
-                return Err(verr(label(
-                    "facts (rules with empty bodies) must be ground",
-                )));
-            }
-        }
-    }
-    Ok(bound)
-}
-
-fn check_agg(
-    rule: &Rule,
-    agg: &Aggregate,
-    bound: &HashSet<VarId>,
-    label: &impl Fn(&str) -> String,
-) -> Result<()> {
-    let mut vs = Vec::new();
-    expr_vars(&agg.expr, &mut vs);
-    vs.extend(agg.contributors.iter().copied());
-    for v in vs {
-        if !bound.contains(&v) {
-            return Err(verr(label(&format!(
-                "aggregate variable {} is not bound",
-                rule.vars[v as usize]
-            ))));
-        }
-    }
-    Ok(())
-}
-
-/// Compiles and stratifies a program at the name level.
-pub(crate) fn compile(program: &Program) -> Result<CompiledProgram> {
-    // Per-rule validation.
-    for (ri, rule) in program.rules.iter().enumerate() {
-        validate_rule(rule, ri)?;
-        let aggs = rule
-            .body
-            .iter()
-            .filter(|l| matches!(l, Literal::LetAgg(..) | Literal::AggCond { .. }))
-            .count();
-        if aggs > 1 {
-            return Err(verr(format!("rule {ri}: at most one aggregate per rule")));
-        }
-    }
-
-    // Predicate universe.
-    let mut pred_ids: HashMap<&str, usize> = HashMap::new();
-    let mut pred_names: Vec<&str> = Vec::new();
-    fn pid<'a>(
-        name: &'a str,
-        ids: &mut HashMap<&'a str, usize>,
-        names: &mut Vec<&'a str>,
-    ) -> usize {
-        if let Some(&i) = ids.get(name) {
-            return i;
-        }
-        let i = names.len();
-        names.push(name);
-        ids.insert(name, i);
-        i
-    }
-
-    // Edges: (from, to, negative).
-    let mut edges: Vec<(usize, usize, bool)> = Vec::new();
-    for rule in &program.rules {
-        let heads: Vec<usize> = rule
-            .head
-            .iter()
-            .map(|h| pid(&h.pred, &mut pred_ids, &mut pred_names))
-            .collect();
-        // Conjunctive heads must share a stratum: link them mutually.
-        for i in 1..heads.len() {
-            edges.push((heads[0], heads[i], false));
-            edges.push((heads[i], heads[0], false));
-        }
-        for lit in &rule.body {
-            match lit {
-                Literal::Atom(a) => {
-                    let b = pid(&a.pred, &mut pred_ids, &mut pred_names);
-                    for &h in &heads {
-                        edges.push((b, h, false));
-                    }
-                }
-                Literal::Negated(a) => {
-                    let b = pid(&a.pred, &mut pred_ids, &mut pred_names);
-                    for &h in &heads {
-                        edges.push((b, h, true));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let n = pred_names.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b, _) in &edges {
-        adj[a].push(b);
-    }
-    let comp = tarjan(&adj);
+/// Layers an analyzer-accepted program into strata and schedules its
+/// compactions. `graph` is the stratifiability pass's dependency graph
+/// over `ix`, whose components are already free of recursive negation.
+pub(crate) fn compile(ix: &ProgramIndex<'_>, graph: &DepGraph) -> CompiledProgram {
+    let program = ix.program;
+    let comp = &graph.comp;
     let ncomp = comp.iter().copied().max().map(|c| c + 1).unwrap_or(0);
-
-    // Negative edges inside a component are non-stratifiable.
-    for &(a, b, neg) in &edges {
-        if neg && comp[a] == comp[b] {
-            return Err(verr(format!(
-                "program is not stratifiable: negation of {} is recursive with {}",
-                pred_names[a], pred_names[b]
-            )));
-        }
-    }
 
     // Longest-path strata over the condensation (Kahn). Every
     // cross-component dependency bumps the level — not just negation.
@@ -366,35 +75,32 @@ pub(crate) fn compile(program: &Program) -> Result<CompiledProgram> {
     let mut cadj: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
     let mut indeg = vec![0usize; ncomp];
     let mut seen_edges: HashSet<(usize, usize)> = HashSet::new();
-    for &(a, b, _) in &edges {
-        let (ca, cb) = (comp[a], comp[b]);
-        if ca != cb && seen_edges.insert((ca, cb)) {
-            cadj[ca].push(cb);
-            indeg[cb] += 1;
+    for (a, succ) in graph.adj.iter().enumerate() {
+        for &b in succ {
+            let (ca, cb) = (comp[a], comp[b]);
+            if ca != cb && seen_edges.insert((ca, cb)) {
+                cadj[ca].push(cb);
+                indeg[cb] += 1;
+            }
         }
     }
     let mut level = vec![0usize; ncomp];
     let mut queue: Vec<usize> = (0..ncomp).filter(|&c| indeg[c] == 0).collect();
-    let mut processed = 0usize;
     while let Some(c) = queue.pop() {
-        processed += 1;
         for &d in &cadj[c] {
-            let cand = level[c] + 1;
-            if cand > level[d] {
-                level[d] = cand;
-            }
+            level[d] = level[d].max(level[c] + 1);
             indeg[d] -= 1;
             if indeg[d] == 0 {
                 queue.push(d);
             }
         }
     }
-    debug_assert_eq!(processed, ncomp, "condensation must be acyclic");
 
-    let mut pred_stratum: HashMap<String, usize> = HashMap::new();
-    for (i, name) in pred_names.iter().enumerate() {
-        pred_stratum.insert((*name).to_owned(), level[comp[i]]);
-    }
+    // A predicate only directives name is in no rule, so it has no stratum.
+    let pred_stratum: HashMap<String, usize> = (0..ix.len() as u32)
+        .filter(|&id| !ix.directive_only(id))
+        .map(|id| (ix.name(id).to_owned(), level[comp[id as usize]]))
+        .collect();
 
     // Assign rules to the stratum of their head (heads share one).
     let max_level = level.iter().copied().max().unwrap_or(0);
@@ -425,7 +131,7 @@ pub(crate) fn compile(program: &Program) -> Result<CompiledProgram> {
                     .terms
                     .iter()
                     .position(|t| matches!(t, Term::Var(u) if *u == v))
-                    .expect("validated: aggregate value appears in head");
+                    .expect("V014: the aggregate value appears in the head");
                 match letagg_value_pos.get(&head.pred) {
                     None => {
                         letagg_value_pos.insert(head.pred.clone(), (pos, func));
@@ -489,11 +195,11 @@ pub(crate) fn compile(program: &Program) -> Result<CompiledProgram> {
         })
         .collect();
 
-    Ok(CompiledProgram {
+    CompiledProgram {
         strata,
         pred_stratum,
         posts,
-    })
+    }
 }
 
 /// True when `rule`'s use of posted predicate `pred` is subsumed by the
@@ -608,61 +314,6 @@ fn is_monotone_guard(e: &Expr, v: VarId, keep_max: bool) -> bool {
         }
         _ => false,
     }
-}
-
-/// Iterative Tarjan SCC over a small adjacency list.
-pub(crate) fn tarjan(adj: &[Vec<usize>]) -> Vec<usize> {
-    const UNVISITED: usize = usize::MAX;
-    let n = adj.len();
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![UNVISITED; n];
-    let mut stack = Vec::new();
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    let mut next = 0usize;
-    let mut ncomp = 0usize;
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        frames.push((root, 0));
-        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-            if *cursor == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *cursor < adj[v].len() {
-                let w = adj[v][*cursor];
-                *cursor += 1;
-                if index[w] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("tarjan underflow");
-                        on_stack[w] = false;
-                        comp[w] = ncomp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    ncomp += 1;
-                }
-                frames.pop();
-                if let Some(&mut (p, _)) = frames.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                }
-            }
-        }
-    }
-    comp
 }
 
 // ---------------------------------------------------------------------------
@@ -833,7 +484,7 @@ fn resolve_expr(e: &Expr, db: &mut Database) -> RExpr {
 fn resolve_atom(a: &Atom, db: &mut Database) -> Result<RAtom> {
     let pred = db.pred_id(&a.pred);
     db.check_arity(pred, a.terms.len())
-        .map_err(|e| verr(format!("atom {}: {e}", a.pred)))?;
+        .map_err(|e| DatalogError::Validation(format!("atom {}: {e}", a.pred)))?;
     Ok(RAtom {
         pred,
         terms: a.terms.iter().map(|t| resolve_term(t, db)).collect(),
@@ -882,7 +533,7 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
                         .terms
                         .iter()
                         .position(|t| matches!(t, Term::Var(u) if u == v))
-                        .expect("validated");
+                        .expect("V014: the aggregate value appears in the head");
                     bound.insert(*v);
                     body.push(RLiteral::Agg {
                         agg: ragg,
@@ -920,7 +571,7 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
         for h in &rule.head {
             let mut vs = Vec::new();
             for t in &h.terms {
-                collect_rterm_vars(t, &mut vs);
+                term_vars(t, &mut vs);
             }
             for v in vs {
                 if bound.contains(&v) && !frontier.contains(&v) {
@@ -932,7 +583,7 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
         for h in &rule.head {
             let mut vs = Vec::new();
             for t in &h.terms {
-                collect_rterm_vars(t, &mut vs);
+                term_vars(t, &mut vs);
             }
             for v in vs {
                 if !bound.contains(&v) && seen_ex.insert(v) {
@@ -960,16 +611,13 @@ pub(crate) fn resolve_rules(program: &Program, db: &mut Database) -> Result<Vec<
     Ok(out)
 }
 
-fn collect_rterm_vars(t: &Term, out: &mut Vec<VarId>) {
-    term_vars(t, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Engine;
 
     fn compile_src(src: &str) -> Result<CompiledProgram> {
-        compile(&Program::parse(src).unwrap())
+        Engine::new(&Program::parse(src).unwrap()).map(|e| e.compiled().clone())
     }
 
     #[test]
@@ -987,42 +635,6 @@ mod tests {
         let c = compile_src("r(X) :- n(X), not t(X). t(X) :- e(X, _). ").unwrap();
         assert_eq!(c.strata.len(), 2);
         assert!(c.pred_stratum["r"] > c.pred_stratum["t"]);
-    }
-
-    #[test]
-    fn recursive_negation_is_rejected() {
-        let e = compile_src("p(X) :- n(X), not q(X). q(X) :- n(X), not p(X).").unwrap_err();
-        assert!(matches!(e, DatalogError::Validation(_)), "{e}");
-    }
-
-    #[test]
-    fn unbound_negation_var_rejected() {
-        let e = compile_src("p(X) :- n(X), not q(Y).").unwrap_err();
-        assert!(e.to_string().contains("negation"), "{e}");
-    }
-
-    #[test]
-    fn unbound_condition_var_rejected() {
-        let e = compile_src("p(X) :- n(X), Y > 3.").unwrap_err();
-        assert!(e.to_string().contains("condition"), "{e}");
-    }
-
-    #[test]
-    fn aggregate_must_be_last() {
-        let e = compile_src("p(X, V) :- n(X, W), V = msum(W, <X>), n(X, _).").unwrap_err();
-        assert!(e.to_string().contains("last"), "{e}");
-    }
-
-    #[test]
-    fn aggregate_value_must_reach_head() {
-        let e = compile_src("p(X) :- n(X, W), V = msum(W, <X>).").unwrap_err();
-        assert!(e.to_string().contains("exactly once"), "{e}");
-    }
-
-    #[test]
-    fn nonground_fact_rejected() {
-        let e = compile_src("p(X).").unwrap_err();
-        assert!(e.to_string().contains("ground"), "{e}");
     }
 
     #[test]
@@ -1111,7 +723,7 @@ mod tests {
         use crate::db::Database;
         let resolve = |src: &str| {
             let program = Program::parse(src).unwrap();
-            compile(&program).unwrap();
+            Engine::new(&program).unwrap();
             let mut db = Database::new();
             resolve_rules(&program, &mut db).unwrap()
         };

@@ -53,12 +53,11 @@
 //! reads it is pure (order-insensitive: a round's output is canonically
 //! sorted).
 
+use crate::analysis::strat::sccs;
 use crate::ast::PostOp;
 use crate::db::Database;
 use crate::error::Result;
-use crate::eval::resolve::{
-    rexpr_pure, rterm_pure, tarjan, CompiledProgram, RLiteral, RRule, RTerm,
-};
+use crate::eval::resolve::{rexpr_pure, rterm_pure, CompiledProgram, RLiteral, RRule, RTerm};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::value::{Const, Tuple};
 
@@ -385,7 +384,7 @@ pub(crate) fn build_units(
             }
         }
     }
-    let comp = tarjan(&adj);
+    let comp = sccs(&adj);
     let ncomp = comp.iter().copied().max().map(|c| c + 1).unwrap_or(0);
 
     // -- group predicates and rules into units ---------------------------
@@ -584,14 +583,15 @@ fn min_rule(rules: &[usize]) -> usize {
 mod tests {
     use super::*;
     use crate::ast::Program;
-    use crate::eval::resolve::{compile, resolve_rules};
+    use crate::eval::resolve::resolve_rules;
+    use crate::eval::Engine;
 
     fn graph_of(src: &str) -> (UnitGraph, Database, Vec<RRule>, Program) {
         let program = Program::parse(src).unwrap();
-        let compiled = compile(&program).unwrap();
+        let engine = Engine::new(&program).unwrap();
         let mut db = Database::new();
         let rules = resolve_rules(&program, &mut db).unwrap();
-        let g = build_units(&compiled, &rules, &db).unwrap();
+        let g = build_units(engine.compiled(), &rules, &db).unwrap();
         (g, db, rules, program)
     }
 

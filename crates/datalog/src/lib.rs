@@ -25,7 +25,7 @@
 //! * a **static analyzer** ([`analysis`]) with stable diagnostic codes
 //!   covering safety, stratifiability, arity consistency, dead rules,
 //!   style lints and wardedness; [`Engine::new`] rejects programs with
-//!   error-level diagnostics unless configured otherwise.
+//!   error-level diagnostics — the analyzer is its only validator.
 //!
 //! ## Quick start
 //!
@@ -62,7 +62,6 @@ pub mod fx;
 pub mod incr;
 pub mod parser;
 pub mod value;
-pub mod warded;
 
 pub use analysis::{
     analyze, analyze_with, Analysis, AnalysisConfig, DiagCode, Diagnostic, Severity,
@@ -75,4 +74,3 @@ pub use eval::{goal_matches, Engine, EngineOptions, RunStats};
 pub use explain::Derivation;
 pub use incr::{ChangeSet, IncrementalEngine, SessionInfo, Update, UpdateStats};
 pub use value::Const;
-pub use warded::{check as check_warded, WardedReport};

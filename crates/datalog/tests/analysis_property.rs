@@ -2,10 +2,12 @@
 //!
 //! Two families of guarantees:
 //!
-//! 1. **Total**: `analyze` never panics, whatever the parser hands it —
-//!    checked on arbitrary strings and on token soup drawn from the
-//!    grammar's own alphabet (the inputs most likely to parse and reach
-//!    the deeper passes).
+//! 1. **Total**: neither `analyze` nor parse → `Engine::new` → `run`
+//!    panics, whatever the input — checked on arbitrary strings and on
+//!    token soup drawn from the grammar's own alphabet (the inputs most
+//!    likely to parse and reach the deeper passes). The engine's gate is
+//!    the analyzer, so a program it lets through must be one the
+//!    stratifier and the executors can take.
 //! 2. **Sound as a gate**: any program the analyzer accepts under the
 //!    default config constructs an `Engine` and evaluates on a small
 //!    database without *structural* runtime errors. Unbound variables,
@@ -66,6 +68,30 @@ fn program_source() -> impl Strategy<Value = String> {
     })
 }
 
+/// The grammar's own alphabet, for token soup.
+const TOKENS: [&str; 20] = [
+    "a",
+    "X",
+    "_",
+    "(",
+    ")",
+    ",",
+    ".",
+    ":-",
+    "not",
+    "msum",
+    "<",
+    ">",
+    "=",
+    "!=",
+    "0.5",
+    "3",
+    "#f",
+    "\"s\"",
+    "@output(\"a\").",
+    "@post(\"a\", \"unique(0)\").",
+];
+
 fn small_db() -> Database {
     let mut db = Database::new();
     db.assert_str_facts("q1", &[&["a"], &["b"]]);
@@ -74,6 +100,22 @@ fn small_db() -> Database {
     db.fact("own3").sym("b").sym("c").float(0.7).assert();
     db.fact("own3").sym("c").sym("a").float(0.5).assert();
     db
+}
+
+/// Parses `src`, builds an engine and runs it on [`small_db`]; every
+/// outcome but a panic is accepted.
+fn construct_and_run(src: &str) {
+    let Ok(program) = Program::parse(src) else {
+        return;
+    };
+    let opts = EngineOptions {
+        max_facts: 2_000,
+        max_rounds: 200,
+        ..EngineOptions::default()
+    };
+    if let Ok(engine) = Engine::with(&program, FunctionRegistry::default(), opts) {
+        let _ = engine.run(&mut small_db());
+    }
 }
 
 proptest! {
@@ -93,20 +135,37 @@ proptest! {
     /// the passes over genuinely weird (but syntactic) programs.
     #[test]
     fn analyzer_never_panics_on_tokenish_soup(
-        parts in prop::collection::vec(
-            prop::sample::select(vec![
-                "a", "X", "_", "(", ")", ",", ".", ":-", "not", "msum",
-                "<", ">", "=", "!=", "0.5", "3", "#f", "\"s\"",
-                "@output(\"a\").", "@post(\"a\", \"unique(0)\").",
-            ]),
-            0..40,
-        )
+        parts in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..40)
     ) {
         let src: String = parts.join(" ");
         if let Ok(program) = Program::parse(&src) {
             let _ = analyze_with(&program, &AnalysisConfig::default());
             let _ = analyze_with(&program, &AnalysisConfig::strict());
         }
+    }
+
+    /// Whatever parses goes through `Engine::new` and, when accepted, a
+    /// run on a small database under small budgets: errors are fine,
+    /// panics are not.
+    #[test]
+    fn engine_never_panics(src in ".{0,200}") {
+        construct_and_run(&src);
+    }
+
+    /// The same on token soup, which parses far more often.
+    #[test]
+    fn engine_never_panics_on_tokenish_soup(
+        parts in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..40)
+    ) {
+        construct_and_run(&parts.join(" "));
+    }
+
+    /// Generated programs, unfiltered: many carry the shapes only the
+    /// gate keeps from the stratifier and the executors (an aggregate
+    /// whose value misses the head, unbound or recursive negation).
+    #[test]
+    fn engine_never_panics_on_generated_programs(src in program_source()) {
+        construct_and_run(&src);
     }
 
     /// Analyzer-clean programs construct an engine and evaluate without

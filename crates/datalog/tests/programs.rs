@@ -293,3 +293,62 @@ fn anonymous_variables_do_not_join() {
     // a has an outgoing AND an incoming edge (through different partners).
     assert_eq!(db.dump("seen"), vec!["a"]);
 }
+
+#[test]
+fn engine_rejects_each_ill_formed_shape_with_its_code() {
+    use datalog::{DatalogError, DiagCode};
+
+    // One program per shape the engine cannot evaluate, and the
+    // diagnostic `Engine::new` must reject it with.
+    let cases: [(&str, DiagCode); 18] = [
+        // Aggregate shape.
+        (
+            "p(X, V) :- n(X, W), V = msum(W, <X>), n(X, _).",
+            DiagCode::V014,
+        ),
+        ("p(X, W) :- n(X, W), W = msum(W, <X>).", DiagCode::V014),
+        (
+            "p(X, V), r(X) :- n(X, W), V = msum(W, <X>).",
+            DiagCode::V014,
+        ),
+        ("p(X), r(X) :- n(X, W), msum(W, <X>) > 0.5.", DiagCode::V014),
+        ("p(X) :- n(X, W), V = msum(W, <X>).", DiagCode::V014),
+        ("p(X, V, V) :- n(X, W), V = msum(W, <X>).", DiagCode::V014),
+        (
+            "p(X, V, #f(X)) :- n(X, W), V = msum(W, <X>).",
+            DiagCode::V014,
+        ),
+        ("p(X, Z) :- n(X, W), msum(W, <X>) > 0.5.", DiagCode::V014),
+        (
+            "p(X, V) :- n(X, W), V = msum(W, <X>), msum(W, <X>) > 1.",
+            DiagCode::V014,
+        ),
+        // Skolem term in a body atom.
+        ("p(X) :- n(#f(X)).", DiagCode::V015),
+        // Unbound variables.
+        ("p(X) :- n(X), not q(Y).", DiagCode::V001),
+        ("p(X) :- n(X), Y > 3.", DiagCode::V003),
+        ("p(X, V) :- n(X), V = Y + 1.", DiagCode::V004),
+        ("p(X, V) :- n(X), V = msum(W, <X>).", DiagCode::V004),
+        ("p(X) :- n(X, W), msum(W, <X>) > Y.", DiagCode::V004),
+        ("p(#f(Y)) :- n(X).", DiagCode::V004),
+        // Non-ground fact.
+        ("p(X).", DiagCode::V013),
+        // Negation through recursion.
+        (
+            "p(X) :- n(X), not q(X). q(X) :- n(X), not p(X).",
+            DiagCode::V005,
+        ),
+    ];
+    for (src, code) in cases {
+        let program = Program::parse(src).unwrap();
+        match Engine::new(&program) {
+            Err(DatalogError::Analysis(ds)) => assert!(
+                ds.iter().any(|d| d.code == code),
+                "{src}: expected {code}, got {ds:?}"
+            ),
+            Err(e) => panic!("{src}: expected {code}, got {e}"),
+            Ok(_) => panic!("{src}: expected {code}, but the engine accepted it"),
+        }
+    }
+}

@@ -126,6 +126,7 @@ pub fn num(v: f64) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -138,6 +139,7 @@ const MAX_DEPTH: usize = 64;
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -256,12 +258,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the whole char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = self
+                        .src
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }

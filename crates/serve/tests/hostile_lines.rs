@@ -110,3 +110,28 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         assert!(Response::decode(line).is_err());
     }
 }
+
+#[test]
+fn a_long_string_decodes_in_linear_time() {
+    // A ~900 KB goal, mostly plain text with multi-byte characters and
+    // escapes mixed in, just under the 1 MiB frame cap: a string must
+    // parse in time linear in its length, or one request under the cap
+    // holds a server thread for seconds.
+    let goal = r#"control(\"n0\", X)? é\" "#.repeat(36_000);
+    let line = format!("{{\"id\":1,\"op\":\"query\",\"goal\":\"{goal}\"}}");
+    assert!(
+        line.len() > 900_000 && line.len() < 1 << 20,
+        "{}",
+        line.len()
+    );
+    let start = std::time::Instant::now();
+    let req = Request::decode(&line).expect("a long goal decodes");
+    let took = start.elapsed();
+    match req.op {
+        serve::protocol::Op::Query { goal } => {
+            assert_eq!(goal, r#"control("n0", X)? é" "#.repeat(36_000))
+        }
+        other => panic!("expected a query, got {other:?}"),
+    }
+    assert!(took.as_secs_f64() < 0.5, "decode took {took:?}");
+}
