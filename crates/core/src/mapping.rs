@@ -29,7 +29,6 @@
 //! The *output mapping* reads derived link predicates (e.g. `control`)
 //! back into typed edges of the property graph.
 
-use datalog::value::Tuple;
 use datalog::{Const, Database, Program};
 use pgraph::NodeId;
 
@@ -71,14 +70,23 @@ pub fn load_predicates<'a>(
     let text = |db: &mut Database, n: NodeId, key: &str| db.sym(g.str_prop(n, key).unwrap_or(""));
     let int = |n: NodeId, key: &str| Const::Int(g.int_prop(n, key).unwrap_or(0));
 
+    // Every node symbol is formatted into this one buffer.
+    let mut name = String::new();
+    let mut node_sym = |db: &mut Database, n: NodeId| {
+        use std::fmt::Write as _;
+        name.clear();
+        write!(name, "n{}", n.index()).expect("writing to a String");
+        db.sym(&name)
+    };
+
     let mut syms: Vec<Option<Const>> = vec![None; g.node_count()];
-    let mut person_attr: Vec<Tuple> = Vec::new();
+    let mut person_attr: Vec<[Const; 7]> = Vec::new();
     let with_attrs = want("person_attr");
     for p in g.persons() {
-        let id = sym_of(db, p);
+        let id = node_sym(db, p);
         syms[p.index()] = Some(id);
         if with_attrs {
-            person_attr.push(Tuple::from([
+            person_attr.push([
                 id,
                 text(db, p, "name"),
                 text(db, p, "surname"),
@@ -86,23 +94,23 @@ pub fn load_predicates<'a>(
                 text(db, p, "birth_city"),
                 text(db, p, "sex"),
                 text(db, p, "address"),
-            ]));
+            ]);
         }
     }
-    let mut company_attr: Vec<Tuple> = Vec::new();
+    let mut company_attr: Vec<[Const; 6]> = Vec::new();
     let with_attrs = want("company_attr");
     for c in g.companies() {
-        let id = sym_of(db, c);
+        let id = node_sym(db, c);
         syms[c.index()] = Some(id);
         if with_attrs {
-            company_attr.push(Tuple::from([
+            company_attr.push([
                 id,
                 text(db, c, "name"),
                 text(db, c, "address"),
                 int(c, "inc_date"),
                 text(db, c, "legal_form"),
                 text(db, c, "sector"),
-            ]));
+            ]);
         }
     }
 
@@ -112,7 +120,7 @@ pub fn load_predicates<'a>(
         for e in g.share_edges() {
             let (src, dst) = g.graph().endpoints(e);
             for n in [src, dst] {
-                syms[n.index()].get_or_insert_with(|| sym_of(db, n));
+                syms[n.index()].get_or_insert_with(|| node_sym(db, n));
             }
         }
     }
@@ -136,7 +144,7 @@ pub fn load_predicates<'a>(
 }
 
 /// One relation's rows into `db`; nothing at all when there are none.
-fn append(db: &mut Database, pred: &str, rows: impl IntoIterator<Item = impl Into<Tuple>>) {
+fn append<R: AsRef<[Const]>>(db: &mut Database, pred: &str, rows: impl IntoIterator<Item = R>) {
     let mut rows = rows.into_iter().peekable();
     if rows.peek().is_some() {
         db.assert_facts(pred, rows).expect("arity");

@@ -2,14 +2,17 @@
 //!
 //! The [`Database`] is the *extensional component* of a knowledge graph in
 //! the paper's terminology — plus, after running an [`crate::Engine`], the
-//! derived intensional facts. Relations deduplicate tuples (set semantics,
-//! like Vadalog's chase with isomorphism checks) and maintain hash indexes
-//! on the column subsets the compiled rule plans need. Point lookups
-//! ([`Database::query`]) read per-column indexes of the same CSR layout
-//! the executors freeze, built lazily by the first lookup and shared by
-//! every clone of the database. Writes keep the frozen images and the
-//! lookup indexes current rather than dropping them, as long as that
-//! upkeep stays cheaper than building them again.
+//! derived intensional facts. A relation stores each row once, in place:
+//! one row-major `Vec<Const>` plus a dedup index of row ids
+//! ([`crate::index`]), so a fact costs no heap block of its own and a
+//! copy-on-write clone is two memcpys. Relations deduplicate tuples (set
+//! semantics, like Vadalog's chase with isomorphism checks) and maintain
+//! hash indexes on the column subsets the compiled rule plans need. Point
+//! lookups ([`Database::query`]) read per-column indexes of the same CSR
+//! layout the executors freeze, built lazily by the first lookup and
+//! shared by every clone of the database. Writes keep the frozen images
+//! and the lookup indexes current rather than dropping them, as long as
+//! that upkeep stays cheaper than building them again.
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
@@ -17,9 +20,11 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::{DatalogError, Result};
 use crate::fx::FxHashMap;
+use crate::index::{next_id, row_hash, str_hash, Index};
 use crate::value::{Const, Tuple};
 
-/// Interner for string constants.
+/// Interner for string constants: every name back to back in one
+/// `String`, keyed by id through the shared index ([`crate::index`]).
 ///
 /// The table is shared copy-on-write: cloning it — every serve epoch and
 /// every [`Database::project`] result clones one — bumps a refcount, and
@@ -31,42 +36,77 @@ pub struct SymbolTable {
 
 #[derive(Default, Debug, Clone)]
 struct Interned {
-    names: Vec<Arc<str>>,
-    index: FxHashMap<Arc<str>, u32>,
+    /// Every name, concatenated in interning order: symbol `id` is
+    /// `text[ends[id - 1]..ends[id]]` (from 0 for the first).
+    text: String,
+    ends: Vec<usize>,
+    /// Symbol ids filed by [`str_hash`] of their names.
+    index: Index,
+}
+
+impl Interned {
+    fn name(&self, id: u32) -> &str {
+        name_at(&self.text, &self.ends, id)
+    }
+
+    fn get(&self, hash: u32, s: &str) -> Option<u32> {
+        self.index.get(hash, |id| self.name(id) == s)
+    }
+
+    /// The id of `s`, interning it if new: one probe either way.
+    fn intern(&mut self, hash: u32, s: &str) -> u32 {
+        let Interned { text, ends, index } = self;
+        match index.find(hash, |id| name_at(text, ends, id) == s) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = next_id(ends.len());
+                text.push_str(s);
+                ends.push(text.len());
+                index.insert(slot, hash, id);
+                id
+            }
+        }
+    }
+}
+
+fn name_at<'a>(text: &'a str, ends: &[usize], id: u32) -> &'a str {
+    let id = id as usize;
+    let start = if id == 0 { 0 } else { ends[id - 1] };
+    &text[start..ends[id]]
 }
 
 impl SymbolTable {
-    /// Interns a string, returning its symbol id.
+    /// Interns a string, returning its symbol id. The name is hashed
+    /// once; a table a clone still shares is looked in first, and copied
+    /// only for a name new to it.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.lookup(s) {
-            return id;
+        let hash = str_hash(s);
+        if Arc::get_mut(&mut self.inner).is_none() {
+            if let Some(id) = self.inner.get(hash, s) {
+                return id;
+            }
         }
-        let inner = Arc::make_mut(&mut self.inner);
-        let id = inner.names.len() as u32;
-        let shared: Arc<str> = Arc::from(s);
-        inner.names.push(shared.clone());
-        inner.index.insert(shared, id);
-        id
+        Arc::make_mut(&mut self.inner).intern(hash, s)
     }
 
     /// Resolves a symbol id to its string.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.inner.names[id as usize]
+        self.inner.name(id)
     }
 
     /// Id of an already-interned string, without interning it.
     pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.inner.index.get(s).copied()
+        self.inner.get(str_hash(s), s)
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.inner.names.len()
+        self.inner.ends.len()
     }
 
     /// True when no symbols are interned.
     pub fn is_empty(&self) -> bool {
-        self.inner.names.is_empty()
+        self.inner.ends.is_empty()
     }
 
     /// All interned strings in interning order (id = position). Snapshot
@@ -75,7 +115,13 @@ impl SymbolTable {
     /// (round sorts compare `Const::Sym` by id, and aggregate emission
     /// order follows the sorts).
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.inner.names.iter().map(|n| &**n)
+        (0..self.len() as u32).map(|id| self.inner.name(id))
+    }
+
+    /// Heap bytes of the name arena and the index.
+    fn heap_bytes(&self) -> usize {
+        let inner = &self.inner;
+        inner.text.capacity() + inner.ends.capacity() * 8 + inner.index.heap_bytes()
     }
 }
 
@@ -227,7 +273,7 @@ impl Columnar {
     /// Drops the rows `removed` (ascending) and shifts the rest down.
     fn compact(&mut self, removed: &[u32]) {
         for strip in &mut self.cols {
-            retain_unremoved(strip, removed);
+            close_ranks(strip, removed, 1);
         }
         for csr in self.csr.values_mut() {
             csr.compact(removed);
@@ -243,7 +289,11 @@ fn mask_cols(mask: u64) -> impl Iterator<Item = usize> {
 /// Row `row`'s id once the rows `removed` (ascending, `row` not among
 /// them) are gone: the survivors close ranks in their original order.
 fn shifted(row: u32, removed: &[u32]) -> u32 {
-    row - removed.partition_point(|&r| r < row) as u32
+    match removed {
+        // A one-row delete, the common case, shifts without a search.
+        [r] => row - u32::from(row > *r),
+        _ => row - removed.partition_point(|&r| r < row) as u32,
+    }
 }
 
 impl Clone for Columnar {
@@ -267,6 +317,25 @@ fn copy_with_headroom<T: Copy>(items: &[T]) -> Vec<T> {
     let mut copy = Vec::with_capacity(items.len() + headroom);
     copy.extend_from_slice(items);
     copy
+}
+
+/// Removes the `stride`-element records at the positions `removed`
+/// (ascending, distinct), keeping the rest in order: each run between
+/// two removed records moves down over the gap the removals before it
+/// left, one `copy_within` per run.
+fn close_ranks<T: Copy>(items: &mut Vec<T>, removed: &[u32], stride: usize) {
+    let Some(&first) = removed.first() else {
+        return;
+    };
+    let records = items.len() / stride.max(1);
+    let mut to = first as usize * stride;
+    for (k, &at) in removed.iter().enumerate() {
+        let from = (at as usize + 1) * stride;
+        let end = removed.get(k + 1).map_or(records, |&r| r as usize) * stride;
+        items.copy_within(from..end, to);
+        to += end - from;
+    }
+    items.truncate(to);
 }
 
 /// Removes the elements at the positions `removed` (ascending), keeping
@@ -447,13 +516,26 @@ impl Csr {
     }
 }
 
-/// A single relation: deduplicated tuples plus hash indexes.
+/// A single relation: deduplicated rows plus hash indexes.
+///
+/// Every row is stored once, in place: the row store is one row-major
+/// `Vec<Const>` whose width the first row fixes, and the dedup index
+/// files row ids by the row's hash ([`crate::index`]), comparing
+/// candidates in the row store. A clone — a serve epoch's, an
+/// incremental session's copy-on-write — is two memcpys, and dropping
+/// one frees a handful of blocks, however many rows it holds.
 #[derive(Default, Debug, Clone)]
 pub struct Relation {
-    /// Tuples in insertion order (row id = position).
-    tuples: Vec<Tuple>,
-    /// Tuple → row id (dedup).
-    seen: FxHashMap<Tuple, u32>,
+    /// Rows in insertion order, row-major: row `r` is
+    /// `data[r * width..(r + 1) * width]`.
+    data: Vec<Const>,
+    /// Columns per row, fixed by the first row stored.
+    width: usize,
+    /// Number of rows. Counted apart from `data`, where rows of arity 0
+    /// take no room.
+    len: usize,
+    /// Row ids filed by [`row_hash`] (dedup).
+    dedup: Index,
     /// Registered indexes: column bitmask → key → rows.
     indexes: FxHashMap<u64, FxHashMap<Tuple, Vec<u32>>>,
     /// Frozen columnar image (stable relations only), kept current by
@@ -471,36 +553,81 @@ pub struct Relation {
     /// Elements the inserts since the image and lookup indexes were last
     /// dropped moved to keep them current; see [`UPKEEP_MOVES_PER_ROW`].
     upkeep: usize,
-    /// Optional provenance parallel to `tuples`.
+    /// Optional provenance parallel to the rows.
     prov: Vec<Option<ProvEntry>>,
     /// Whether provenance is being recorded.
     track_prov: bool,
 }
 
+/// Row `id` of a row-major store of `width`-const rows.
+fn row_at(data: &[Const], width: usize, id: u32) -> &[Const] {
+    let at = id as usize * width;
+    &data[at..at + width]
+}
+
+/// Widest hash-index key [`with_key`] builds on the stack.
+const STACK_KEY: usize = 8;
+
+/// Calls `f` with the `mask`-projection of `row` (columns in ascending
+/// order, as [`key_of`] builds it), on the stack unless the key is wider
+/// than [`STACK_KEY`].
+fn with_key<R>(row: &[Const], mask: u64, f: impl FnOnce(&[Const]) -> R) -> R {
+    if mask.count_ones() as usize > STACK_KEY {
+        return f(&key_of(row, mask));
+    }
+    let mut key = [Const::Bool(false); STACK_KEY];
+    let mut n = 0;
+    for (i, c) in row.iter().enumerate() {
+        if mask & (1u64 << i) != 0 {
+            key[n] = *c;
+            n += 1;
+        }
+    }
+    f(&key[..n])
+}
+
+/// Files row `id` under its `mask`-projection in a hash index. The key
+/// is allocated only when it opens a new group.
+fn index_row(index: &mut FxHashMap<Tuple, Vec<u32>>, mask: u64, row: &[Const], id: u32) {
+    with_key(row, mask, |key| match index.get_mut(key) {
+        Some(rows) => rows.push(id),
+        None => {
+            index.insert(key.into(), vec![id]);
+        }
+    })
+}
+
 impl Relation {
-    /// Number of tuples.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
-    /// True when the relation has no tuples.
+    /// True when the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// The tuple at `row`.
+    /// The row at `row`.
     pub fn row(&self, row: u32) -> &[Const] {
-        &self.tuples[row as usize]
+        assert!((row as usize) < self.len, "row {row} of {}", self.len);
+        row_at(&self.data, self.width, row)
     }
 
-    /// All tuples in insertion order.
+    /// All rows in insertion order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Const]> {
-        self.tuples.iter().map(|t| &t[..])
+        (0..self.len as u32).map(|id| row_at(&self.data, self.width, id))
     }
 
     /// Row id of a tuple if present.
     pub fn find(&self, tuple: &[Const]) -> Option<u32> {
-        self.seen.get(tuple).copied()
+        self.find_hashed(row_hash(tuple), tuple)
+    }
+
+    /// [`Relation::find`] of a tuple whose [`row_hash`] is `hash`.
+    pub(crate) fn find_hashed(&self, hash: u32, tuple: &[Const]) -> Option<u32> {
+        let (data, width) = (&self.data, self.width);
+        self.dedup.get(hash, |id| row_at(data, width, id) == tuple)
     }
 
     /// Provenance of a row, if recorded.
@@ -510,7 +637,11 @@ impl Relation {
 
     /// Width of the stored tuples (0 while the relation is empty).
     fn arity(&self) -> usize {
-        self.tuples.first().map_or(0, |t| t.len())
+        if self.len == 0 {
+            0
+        } else {
+            self.width
+        }
     }
 
     /// The lookup-index cells of these contents, one per column, created
@@ -527,9 +658,7 @@ impl Relation {
     pub(crate) fn column_index(&self, col: usize) -> &Csr {
         self.lookup_cells()[col].get_or_init(|| {
             tally(0, 1);
-            Csr::build(1, self.tuples.len(), |row| {
-                std::iter::once(self.tuples[row as usize][col])
-            })
+            Csr::build(1, self.len, |row| std::iter::once(self.row(row)[col]))
         })
     }
 
@@ -564,8 +693,7 @@ impl Relation {
             self.upkeep = 0;
             return false;
         }
-        let carried =
-            !self.tuples.is_empty() && self.upkeep <= UPKEEP_MOVES_PER_ROW * self.tuples.len();
+        let carried = self.len > 0 && self.upkeep <= UPKEEP_MOVES_PER_ROW * self.len;
         if carried {
             tally(
                 usize::from(self.columnar.is_some()) + self.indexed_columns(),
@@ -593,22 +721,24 @@ impl Relation {
             .filter_map(|(col, cell)| cell.get_mut().map(|csr| (col, csr)))
     }
 
-    /// Rough heap footprint in bytes: tuple storage, the dedup map, hash
-    /// indexes, any frozen columnar image and the lookup indexes built so
-    /// far (counted in full by every clone that shares them). A
-    /// capacity-planning estimate (memory budgets), not an allocator
-    /// measurement.
+    /// Rough heap footprint in bytes: the row store and dedup index as
+    /// allocated, hash indexes, recorded provenance, any frozen columnar
+    /// image and the lookup indexes built so far (counted in full by
+    /// every clone that shares them). A capacity-planning estimate
+    /// (memory budgets), not an allocator measurement.
     pub fn approx_heap_bytes(&self) -> usize {
         const CONST_BYTES: usize = std::mem::size_of::<Const>();
-        let tuple_bytes = self.arity() * CONST_BYTES + 16; // Arc<[Const]> header
-        let mut total = self.tuples.len() * (tuple_bytes + 8); // + seen ref
-        total += self.seen.len() * 16; // map slots
-        for index in self.indexes.values() {
-            total += index.len() * (tuple_bytes + 32);
-            total += self.tuples.len() * 4; // row ids across buckets
+        let mut total = self.data.capacity() * CONST_BYTES + self.dedup.heap_bytes();
+        total += self.prov.capacity() * std::mem::size_of::<Option<ProvEntry>>();
+        for (mask, index) in &self.indexes {
+            // A key: its `Arc<[Const]>` (16-byte header) and a map slot
+            // holding it and its row list (16 + 24 bytes).
+            let key_bytes = mask.count_ones() as usize * CONST_BYTES + 16;
+            total += index.len() * (key_bytes + 40);
+            total += self.len * 4; // row ids across the row lists
         }
         if let Some(c) = &self.columnar {
-            total += c.cols.len() * self.tuples.len() * CONST_BYTES;
+            total += c.cols.iter().map(|s| s.capacity()).sum::<usize>() * CONST_BYTES;
             total += c.csr.values().map(Csr::heap_bytes).sum::<usize>();
         }
         if let Some(cells) = self.lookup.get() {
@@ -623,8 +753,8 @@ impl Relation {
 
     pub(crate) fn set_track_prov(&mut self, on: bool) {
         self.track_prov = on;
-        if on && self.prov.len() < self.tuples.len() {
-            self.prov.resize(self.tuples.len(), None);
+        if on && self.prov.len() < self.len {
+            self.prov.resize(self.len, None);
         }
     }
 
@@ -656,8 +786,8 @@ impl Relation {
             return;
         }
         let mut index: FxHashMap<Tuple, Vec<u32>> = FxHashMap::default();
-        for (row, t) in self.tuples.iter().enumerate() {
-            index.entry(key_of(t, mask)).or_default().push(row as u32);
+        for (id, row) in self.rows().enumerate() {
+            index_row(&mut index, mask, row, id as u32);
         }
         self.indexes.insert(mask, index);
     }
@@ -687,11 +817,11 @@ impl Relation {
 
     /// [`Relation::freeze_columnar`] without the check and the tally.
     fn build_columnar(&mut self, csr_masks: &[u64]) {
-        let tuples = &self.tuples;
+        let (data, width, len) = (&self.data, self.width, self.len);
         let image = self.columnar.get_or_insert_with(|| {
-            let arity = tuples.first().map_or(0, |t| t.len());
+            let arity = if len == 0 { 0 } else { width };
             let cols = (0..arity)
-                .map(|c| tuples.iter().map(|t| t[c]).collect())
+                .map(|c| data.iter().skip(c).step_by(width).copied().collect())
                 .collect();
             Arc::new(Columnar {
                 cols,
@@ -709,7 +839,7 @@ impl Relation {
             // may never have been registered.
             let csr_for = if key_cols.iter().all(|&c| c < image.cols.len()) {
                 let (strips, key_cols) = (&image.cols, &key_cols);
-                Csr::build(key_cols.len(), tuples.len(), |row| {
+                Csr::build(key_cols.len(), len, |row| {
                     key_cols.iter().map(move |&c| strips[c][row as usize])
                 })
             } else {
@@ -750,11 +880,12 @@ impl Relation {
         self.probe(mask, key)
     }
 
-    /// Makes room for `additional` more tuples in the row store and the
-    /// dedup map, so a bulk load neither regrows nor rehashes on the way.
-    fn reserve(&mut self, additional: usize) {
-        self.tuples.reserve(additional);
-        self.seen.reserve(additional);
+    /// Makes room for `additional` more rows of `width` consts in the row
+    /// store and the dedup index, so a bulk load neither regrows nor
+    /// re-files on the way.
+    fn reserve(&mut self, additional: usize, width: usize) {
+        self.data.reserve(additional * width);
+        self.dedup.reserve(additional);
         if self.track_prov {
             self.prov.reserve(additional);
         }
@@ -764,26 +895,47 @@ impl Relation {
     /// new row goes at the end of its key group in the frozen image and
     /// the lookup indexes, unless the write drops them (see
     /// [`Relation::carry`]).
-    pub(crate) fn insert(&mut self, tuple: Tuple, prov: Option<ProvEntry>) -> (u32, bool) {
-        if let Some(&row) = self.seen.get(&tuple) {
-            return (row, false);
+    pub(crate) fn insert(&mut self, tuple: &[Const], prov: Option<ProvEntry>) -> (u32, bool) {
+        self.insert_hashed(row_hash(tuple), tuple, prov)
+    }
+
+    /// [`Relation::insert`] of a tuple whose [`row_hash`] is `hash`.
+    pub(crate) fn insert_hashed(
+        &mut self,
+        hash: u32,
+        tuple: &[Const],
+        prov: Option<ProvEntry>,
+    ) -> (u32, bool) {
+        if self.len == 0 {
+            self.width = tuple.len();
         }
-        let row = self.tuples.len() as u32;
+        assert_eq!(
+            tuple.len(),
+            self.width,
+            "row width differs from the relation's"
+        );
+        let (data, width) = (&self.data, self.width);
+        let slot = match self.dedup.find(hash, |id| row_at(data, width, id) == tuple) {
+            Ok(row) => return (row, false),
+            Err(slot) => slot,
+        };
+        let row = next_id(self.len);
         if self.carry() {
             let mut moved = 0;
             if let Some(image) = &mut self.columnar {
-                moved += Arc::make_mut(image).push(&tuple, row);
+                moved += Arc::make_mut(image).push(tuple, row);
             }
             for (col, csr) in self.built_lookups_mut() {
                 moved += csr.push(&[tuple[col]], row);
             }
             self.upkeep += moved;
         }
-        for (mask, index) in self.indexes.iter_mut() {
-            index.entry(key_of(&tuple, *mask)).or_default().push(row);
+        for (&mask, index) in &mut self.indexes {
+            index_row(index, mask, tuple, row);
         }
-        self.seen.insert(tuple.clone(), row);
-        self.tuples.push(tuple);
+        self.dedup.insert(slot, hash, row);
+        self.data.extend_from_slice(tuple);
+        self.len += 1;
         if self.track_prov {
             self.prov.push(prov);
         }
@@ -792,36 +944,50 @@ impl Relation {
 
     /// Removes every tuple in `del`, compacting the surviving rows in
     /// their original order — tombstone-free, with dense row ids. Nothing
-    /// is rebuilt or rehashed: the removed keys leave the dedup map and
-    /// the registered indexes, and one shift of the surviving row ids
-    /// compacts those, the recorded provenance, and the frozen image and
-    /// lookup indexes it carries (see [`Relation::carry`]). Returns how
-    /// many rows were actually removed.
-    pub(crate) fn remove_tuples(&mut self, del: &crate::fx::FxHashSet<Tuple>) -> usize {
-        let mut removed: Vec<u32> = del.iter().filter_map(|t| self.seen.remove(t)).collect();
+    /// is rebuilt or re-filed: the removed rows leave the dedup index
+    /// (their slots are freed by backward shift) and the registered
+    /// indexes, one pass over the dedup slots and the index row lists
+    /// shifts the surviving row ids, the row store closes ranks with
+    /// `copy_within`, and the same shift compacts the recorded
+    /// provenance and the frozen image and lookup indexes it carries
+    /// (see [`Relation::carry`]). Returns how many rows were actually
+    /// removed.
+    pub(crate) fn remove_tuples<R: AsRef<[Const]>>(
+        &mut self,
+        del: impl IntoIterator<Item = R>,
+    ) -> usize {
+        let mut removed: Vec<u32> = del
+            .into_iter()
+            .filter_map(|t| self.find(t.as_ref()))
+            .collect();
         if removed.is_empty() {
             return 0;
         }
         removed.sort_unstable();
+        removed.dedup();
         let carried = self.carry();
-        for (&mask, index) in self.indexes.iter_mut() {
+        let (data, width) = (&self.data, self.width);
+        for (&mask, index) in &mut self.indexes {
             for &row in &removed {
-                let key = key_of(&self.tuples[row as usize], mask);
-                if let Some(rows) = index.get_mut(&key) {
-                    rows.retain(|&r| r != row);
-                    if rows.is_empty() {
-                        index.remove(&key);
+                with_key(row_at(data, width, row), mask, |key| {
+                    if let Some(rows) = index.get_mut(key) {
+                        rows.retain(|&r| r != row);
+                        if rows.is_empty() {
+                            index.remove(key);
+                        }
                     }
-                }
+                });
             }
             for row in index.values_mut().flatten() {
                 *row = shifted(*row, &removed);
             }
         }
-        for row in self.seen.values_mut() {
-            *row = shifted(*row, &removed);
+        for &row in &removed {
+            self.dedup.remove(row_hash(row_at(data, width, row)), row);
         }
-        retain_unremoved(&mut self.tuples, &removed);
+        self.dedup.close_ranks(&removed);
+        close_ranks(&mut self.data, &removed, width);
+        self.len -= removed.len();
         if self.track_prov {
             retain_unremoved(&mut self.prov, &removed);
         } else {
@@ -838,50 +1004,84 @@ impl Relation {
         removed.len()
     }
 
-    /// Replaces the contents with `rows` (used by `@post`); indexes are
-    /// rebuilt, the frozen image and lookup indexes dropped, provenance
-    /// is dropped (post-processing is a projection of
-    /// the least fixpoint, not a derivation).
-    pub(crate) fn replace_all(&mut self, rows: Vec<Tuple>) {
-        let masks: Vec<u64> = self.indexes.keys().copied().collect();
+    /// Empties the relation for new contents: drops the frozen image and
+    /// lookup indexes, the rows, the dedup entries, the hash indexes and
+    /// the provenance (post-processing is a projection of the least
+    /// fixpoint, not a derivation), keeping the allocations. Returns the
+    /// masks of the hash indexes, for [`Relation::reindex`].
+    fn reset(&mut self) -> Vec<u64> {
+        let masks = self.indexes.keys().copied().collect();
         self.invalidate();
-        self.tuples.clear();
-        self.seen.clear();
+        self.data.clear();
+        self.len = 0;
+        self.dedup.clear();
         self.indexes.clear();
         self.prov.clear();
-        for t in rows {
-            if !self.seen.contains_key(&t) {
-                let row = self.tuples.len() as u32;
-                self.seen.insert(t.clone(), row);
-                self.tuples.push(t);
-                if self.track_prov {
-                    self.prov.push(None);
-                }
-            }
-        }
+        masks
+    }
+
+    /// Registers `masks` again over the new contents and gives every row
+    /// an empty provenance slot when provenance is tracked.
+    fn reindex(&mut self, masks: Vec<u64>) {
         for m in masks {
             self.register_index(m);
         }
+        if self.track_prov {
+            self.prov.resize(self.len, None);
+        }
     }
 
-    /// Checks the dedup map, the hash indexes, the frozen image and the
+    /// Replaces the contents with `rows` (duplicates dropped); indexes are
+    /// rebuilt, the frozen image, lookup indexes and provenance dropped
+    /// (see [`Relation::reset`]).
+    pub(crate) fn replace_all<R: AsRef<[Const]>>(&mut self, rows: impl IntoIterator<Item = R>) {
+        let masks = self.reset();
+        for row in rows {
+            self.insert(row.as_ref(), None);
+        }
+        self.reindex(masks);
+    }
+
+    /// Keeps only the rows `ids` (distinct), in that order, as
+    /// [`Relation::replace_all`] with those rows would: the `@post`
+    /// compaction's rewrite. The survivors are gathered into one new row
+    /// store and filed by their hashes without a key comparison.
+    pub(crate) fn keep_rows(&mut self, ids: &[u32]) {
+        let width = self.width;
+        let mut data = Vec::with_capacity(ids.len() * width);
+        for &id in ids {
+            data.extend_from_slice(self.row(id));
+        }
+        let masks = self.reset();
+        self.data = data;
+        self.len = ids.len();
+        self.dedup.reserve(ids.len());
+        for id in 0..ids.len() as u32 {
+            self.dedup.push(row_hash(row_at(&self.data, width, id)), id);
+        }
+        self.reindex(masks);
+    }
+
+    /// Checks the dedup index, the hash indexes, the frozen image and the
     /// lookup indexes against the row store: each must equal what a fresh
     /// build over the current rows holds. For tests of the structures
     /// writes keep current.
     fn check_fresh(&self) -> std::result::Result<(), String> {
-        let n = self.tuples.len();
-        if self.seen.len() != n
+        let n = self.len;
+        if self.data.len() != n * self.width {
+            return Err("row store length disagrees with the row count".into());
+        }
+        if self.dedup.len() != n
             || self
-                .tuples
-                .iter()
+                .rows()
                 .enumerate()
                 .any(|(row, t)| self.find(t) != Some(row as u32))
         {
-            return Err("dedup map disagrees with the row store".into());
+            return Err("dedup index disagrees with the row store".into());
         }
         for (&mask, index) in &self.indexes {
             let mut fresh: FxHashMap<Tuple, Vec<u32>> = FxHashMap::default();
-            for (row, t) in self.tuples.iter().enumerate() {
+            for (row, t) in self.rows().enumerate() {
                 fresh.entry(key_of(t, mask)).or_default().push(row as u32);
             }
             if *index != fresh {
@@ -890,7 +1090,7 @@ impl Relation {
         }
         if let Some(image) = &self.columnar {
             for (c, strip) in image.cols.iter().enumerate() {
-                if strip.len() != n || self.tuples.iter().zip(strip).any(|(t, v)| t[c] != *v) {
+                if strip.len() != n || self.rows().zip(strip).any(|(t, v)| t[c] != *v) {
                     return Err(format!("strip {c} differs from the row store"));
                 }
             }
@@ -900,7 +1100,7 @@ impl Relation {
                     continue;
                 }
                 let fresh = Csr::build(cols.len(), n, |row| {
-                    cols.iter().map(move |&c| self.tuples[row as usize][c])
+                    cols.iter().map(move |&c| self.row(row)[c])
                 });
                 if *csr != fresh {
                     return Err(format!("image CSR {mask:#b} differs from a fresh build"));
@@ -914,7 +1114,7 @@ impl Relation {
             .flat_map(|c| c.iter().enumerate());
         for (col, cell) in cells {
             if let Some(csr) = cell.get() {
-                let fresh = Csr::build(1, n, |row| std::iter::once(self.tuples[row as usize][col]));
+                let fresh = Csr::build(1, n, |row| std::iter::once(self.row(row)[col]));
                 if *csr != fresh {
                     return Err(format!("lookup index {col} differs from a fresh build"));
                 }
@@ -1060,11 +1260,14 @@ impl Database {
     /// It comes frozen for probes on its first column, as those rules
     /// read it, so no stratum freezes it: its image is part of making it,
     /// not one an update rebuilds ([`image_tally`]).
-    pub(crate) fn push_scratch_relation(&mut self, rows: impl IntoIterator<Item = Tuple>) -> u32 {
+    pub(crate) fn push_scratch_relation<R: AsRef<[Const]>>(
+        &mut self,
+        rows: impl IntoIterator<Item = R>,
+    ) -> u32 {
         let id = self.pred_names.len() as u32;
         let mut rel = Relation::default();
         for row in rows {
-            rel.insert(row, None);
+            rel.insert(row.as_ref(), None);
         }
         rel.build_columnar(&[1]);
         self.pred_names.push(Arc::from(""));
@@ -1130,10 +1333,7 @@ impl Database {
     /// [`Relation::approx_heap_bytes`]. The capacity-planning lens for
     /// the 1M-register memory-budget target.
     pub fn approx_heap_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for name in self.symbols.iter() {
-            total += name.len() + 56; // Arc<str> header + index entry
-        }
+        let mut total = self.symbols.heap_bytes();
         for name in &self.pred_names {
             total += name.len() + 56;
         }
@@ -1173,33 +1373,35 @@ impl Database {
         if self.relations[p as usize].find(tuple).is_some() {
             return Ok(false);
         }
-        let (_, new) = self.relation_mut(p).insert(tuple.into(), None);
+        let (_, new) = self.relation_mut(p).insert(tuple, None);
         Ok(new)
     }
 
     /// Asserts many facts of one predicate — the bulk form of
     /// [`Database::assert_fact`] for loaders: the name is resolved once
-    /// instead of per row, and the row store and dedup map reserve for the
-    /// iterator's lower size bound up front. Rows land in iteration order;
-    /// returns how many were new. On an arity mismatch the rows before
-    /// the offending one stay asserted, as with a loop of `assert_fact`.
-    pub fn assert_facts(
+    /// instead of per row, and the row store and dedup index reserve for
+    /// the iterator's lower size bound up front. Rows land in iteration
+    /// order, copied into the row store; returns how many were new. On an
+    /// arity mismatch the rows before the offending one stay asserted, as
+    /// with a loop of `assert_fact`.
+    pub fn assert_facts<R: AsRef<[Const]>>(
         &mut self,
         pred: &str,
-        rows: impl IntoIterator<Item = impl Into<Tuple>>,
+        rows: impl IntoIterator<Item = R>,
     ) -> Result<usize> {
         let p = self.pred_id(pred);
         let mut rows = rows.into_iter().peekable();
-        if rows.peek().is_none() {
+        let Some(first) = rows.peek() else {
             return Ok(0);
-        }
+        };
+        let width = first.as_ref().len();
         // One copy-on-write check for the batch, not one per row.
         let rel = Arc::make_mut(&mut self.relations[p as usize]);
-        rel.reserve(rows.size_hint().0);
+        rel.reserve(rows.size_hint().0, width);
         let arity = &mut self.arities[p as usize];
         let mut new = 0usize;
         for row in rows {
-            let tuple: Tuple = row.into();
+            let tuple = row.as_ref();
             match *arity {
                 None => *arity = Some(tuple.len()),
                 Some(a) if a == tuple.len() => {}
@@ -1219,9 +1421,7 @@ impl Database {
         if self.relations[p as usize].find(tuple).is_none() {
             return false;
         }
-        let mut del = crate::fx::FxHashSet::default();
-        del.insert(Tuple::from(tuple));
-        self.relation_mut(p).remove_tuples(&del) > 0
+        self.relation_mut(p).remove_tuples([tuple]) > 0
     }
 
     /// Starts a fluent fact builder: `db.fact("own").sym("a").float(0.5).assert();`
@@ -1456,16 +1656,14 @@ pub mod testing {
     /// Removes `tuples` from `pred` in one compaction; returns how many
     /// were there.
     pub fn remove(db: &mut Database, pred: &str, tuples: &[Vec<Const>]) -> usize {
-        let del = tuples.iter().map(|t| Tuple::from(&t[..])).collect();
         let p = db.pred_id(pred);
-        db.relation_mut(p).remove_tuples(&del)
+        db.relation_mut(p).remove_tuples(tuples)
     }
 
     /// Replaces `pred`'s contents, as an `@post` pass does.
     pub fn replace_all(db: &mut Database, pred: &str, rows: Vec<Vec<Const>>) {
         let p = db.pred_id(pred);
-        db.relation_mut(p)
-            .replace_all(rows.into_iter().map(Tuple::from).collect());
+        db.relation_mut(p).replace_all(rows);
     }
 
     /// What `pred` carries: the masks of its frozen image (`None` without
@@ -1523,16 +1721,16 @@ mod tests {
         let mut r = Relation::default();
         let t1: Tuple = vec![Const::Int(1), Const::Int(2)].into();
         let t2: Tuple = vec![Const::Int(1), Const::Int(3)].into();
-        assert!(r.insert(t1.clone(), None).1);
-        assert!(!r.insert(t1.clone(), None).1);
-        assert!(r.insert(t2.clone(), None).1);
+        assert!(r.insert(&t1, None).1);
+        assert!(!r.insert(&t1, None).1);
+        assert!(r.insert(&t2, None).1);
         assert_eq!(r.len(), 2);
         r.register_index(0b01);
         let rows = r.probe(0b01, &[Const::Int(1)]);
         assert_eq!(rows.len(), 2);
         // Index is maintained on subsequent inserts.
         let t3: Tuple = vec![Const::Int(1), Const::Int(4)].into();
-        r.insert(t3, None);
+        r.insert(&t3, None);
         assert_eq!(r.probe(0b01, &[Const::Int(1)]).len(), 3);
         assert_eq!(r.probe(0b01, &[Const::Int(9)]).len(), 0);
     }
@@ -1595,7 +1793,7 @@ mod tests {
         let mut r = Relation::default();
         r.register_index(0b01);
         for i in 0..5 {
-            r.insert(vec![Const::Int(i), Const::Int(i * 10)].into(), None);
+            r.insert(&[Const::Int(i), Const::Int(i * 10)], None);
         }
         let mut del = crate::fx::FxHashSet::default();
         del.insert(Tuple::from(&[Const::Int(1), Const::Int(10)][..]));
@@ -1612,7 +1810,7 @@ mod tests {
         assert_eq!(r.probe(0b01, &[Const::Int(4)]), &[2]);
         assert!(r.probe(0b01, &[Const::Int(3)]).is_empty());
         // Re-inserting a removed tuple appends at the end.
-        let (row, fresh) = r.insert(vec![Const::Int(1), Const::Int(10)].into(), None);
+        let (row, fresh) = r.insert(&[Const::Int(1), Const::Int(10)], None);
         assert!(fresh);
         assert_eq!(row, 3);
     }
@@ -1660,7 +1858,7 @@ mod tests {
             (2, 21),
         ];
         for (a, b) in rows {
-            r.insert(vec![Const::Int(a), Const::Int(b)].into(), None);
+            r.insert(&[Const::Int(a), Const::Int(b)], None);
         }
         r.freeze_columnar(&[0b01]);
         assert!(r.columnar().is_some());
@@ -1689,10 +1887,7 @@ mod tests {
         r.register_index(0b101);
         let rows = [(3, 1, 9), (1, 2, 8), (3, 1, 7), (3, 2, 6), (1, 2, 5)];
         for (a, b, c) in rows {
-            r.insert(
-                vec![Const::Int(a), Const::Int(b), Const::Int(c)].into(),
-                None,
-            );
+            r.insert(&[Const::Int(a), Const::Int(b), Const::Int(c)], None);
         }
         r.freeze_columnar(&[0b011, 0b101]);
         for a in 0..4 {
@@ -1721,7 +1916,7 @@ mod tests {
         let mut r = Relation::default();
         r.register_index(0b01);
         r.register_index(0b10);
-        r.insert(vec![Const::Int(1), Const::Int(2)].into(), None);
+        r.insert(&[Const::Int(1), Const::Int(2)], None);
         r.freeze_columnar(&[0b01]);
         let first = r.columnar().unwrap() as *const Columnar;
         // Re-freezing with covered masks keeps the same frozen image.
@@ -1738,7 +1933,7 @@ mod tests {
     /// few writes stay within the upkeep budget ([`UPKEEP_MOVES_PER_ROW`]).
     fn pad(r: &mut Relation, n: i64) {
         for i in 0..n {
-            r.insert(vec![Const::Int(100 + i), Const::Int(0)].into(), None);
+            r.insert(&[Const::Int(100 + i), Const::Int(0)], None);
         }
     }
 
@@ -1746,13 +1941,13 @@ mod tests {
     fn writes_carry_the_columnar_image() {
         let mut r = Relation::default();
         r.register_index(0b01);
-        r.insert(vec![Const::Int(1), Const::Int(2)].into(), None);
+        r.insert(&[Const::Int(1), Const::Int(2)], None);
         pad(&mut r, 31);
         r.freeze_columnar(&[0b01]);
         assert!(r.columnar().is_some());
         // Insert keeps the frozen image current: the new row lands at the
         // end of its key group, and lookups see it.
-        let (row, _) = r.insert(vec![Const::Int(1), Const::Int(3)].into(), None);
+        let (row, _) = r.insert(&[Const::Int(1), Const::Int(3)], None);
         assert!(r.columnar().is_some());
         r.check_fresh().unwrap();
         assert_eq!(r.lookup_rows(0b01, &[Const::Int(1)]), &[0, row]);
@@ -1776,7 +1971,7 @@ mod tests {
                 r.upkeep
             );
             writes += 1;
-            r.insert(vec![Const::Int(-writes), Const::Int(0)].into(), None);
+            r.insert(&[Const::Int(-writes), Const::Int(0)], None);
             r.check_fresh().unwrap();
             assert!(writes < 1000, "the image was never dropped");
         }
@@ -1786,7 +1981,7 @@ mod tests {
         assert_eq!(r.lookup_rows(0b01, &[Const::Int(-1)]), &[row]);
         // replace_all drops a fresh image too.
         r.freeze_columnar(&[0b01]);
-        r.replace_all(vec![vec![Const::Int(9), Const::Int(9)].into()]);
+        r.replace_all([[Const::Int(9), Const::Int(9)]]);
         assert!(r.columnar().is_none());
         assert_eq!(r.lookup_rows(0b01, &[Const::Int(9)]), &[0]);
     }
@@ -1834,7 +2029,7 @@ mod tests {
         assert_eq!(db.query("e", &[Some(Const::Int(3)), None]).len(), 2);
         // replace_all still drops them.
         db.relation_mut(0)
-            .replace_all(vec![vec![Const::Int(3), Const::Int(9)].into()]);
+            .replace_all([[Const::Int(3), Const::Int(9)]]);
         assert_eq!(built(&db), 0);
         assert_eq!(db.query("e", &[Some(Const::Int(3)), None]).len(), 1);
         assert!(db.query("e", &[Some(Const::Int(1)), None]).is_empty());
@@ -1975,9 +2170,9 @@ mod tests {
     fn replace_all_rebuilds_indexes() {
         let mut r = Relation::default();
         r.register_index(0b1);
-        r.insert(vec![Const::Int(1)].into(), None);
-        r.insert(vec![Const::Int(2)].into(), None);
-        r.replace_all(vec![vec![Const::Int(2)].into()]);
+        r.insert(&[Const::Int(1)], None);
+        r.insert(&[Const::Int(2)], None);
+        r.replace_all([[Const::Int(2)]]);
         assert_eq!(r.len(), 1);
         assert_eq!(r.probe(0b1, &[Const::Int(1)]).len(), 0);
         assert_eq!(r.probe(0b1, &[Const::Int(2)]).len(), 1);

@@ -29,21 +29,17 @@
 //! **Layout.** A run's whole state lives in a few flat vectors (DESIGN
 //! §13): every group tuple and contributor key is copied once into one
 //! `Vec<Const>` arena, groups and contributors are records addressed by
-//! `u32`, and one open-addressing [`Index`] per table maps a key to its
-//! record. A group's contributors chain from the group through
-//! `Contributor::next`, which only `mprod` walks. A new group or
-//! contributor costs amortised vector growth and no allocation of its
-//! own, and dropping the store frees a handful of blocks — on company
-//! control nearly every group has a single contributor, so the misses,
-//! not the hits, are the traffic.
+//! `u32`, and one open-addressing [`Index`] per table (the engine's
+//! shared index, [`crate::index`]) maps a key to its record. A group's
+//! contributors chain from the group through `Contributor::next`, which
+//! only `mprod` walks. A new group or contributor costs amortised vector
+//! growth and no allocation of its own, and dropping the store frees a
+//! handful of blocks — on company control nearly every group has a
+//! single contributor, so the misses, not the hits, are the traffic.
 
 use crate::ast::AggFunc;
-use crate::fx::FxHasher;
+use crate::index::{key_hash, next_id, Index, NONE};
 use crate::value::Const;
-use std::hash::{Hash, Hasher};
-
-/// Ends a contributor chain and marks an empty index slot.
-const NONE: u32 = u32::MAX;
 
 /// Running state of one aggregation group: its record in the store.
 #[derive(Debug)]
@@ -248,14 +244,6 @@ fn identity(func: AggFunc) -> f64 {
     }
 }
 
-/// The next record id of a table holding `len` records.
-fn next_id(len: usize) -> u32 {
-    u32::try_from(len)
-        .ok()
-        .filter(|&id| id != NONE)
-        .expect("an aggregate table holds fewer than u32::MAX records")
-}
-
 /// Copies `key` into the arena; returns its offset and length.
 fn intern(keys: &mut Vec<Const>, key: &[Const]) -> (u32, u32) {
     let at = u32::try_from(keys.len()).expect("aggregate key arena fits u32 offsets");
@@ -265,71 +253,6 @@ fn intern(keys: &mut Vec<Const>, key: &[Const]) -> (u32, u32) {
 
 fn key_at(keys: &[Const], at: u32, len: u32) -> &[Const] {
     &keys[at as usize..(at + len) as usize]
-}
-
-/// The top 32 bits of the Fx hash of `(head, key)`; a multiply-rotate
-/// hash mixes its high bits best, and those are the bits [`Index`] reads.
-fn key_hash(head: u64, key: &[Const]) -> u32 {
-    let mut h = FxHasher::default();
-    head.hash(&mut h);
-    key.hash(&mut h);
-    (h.finish() >> 32) as u32
-}
-
-/// Open-addressing hash index from a key hash to a record id, probed
-/// linearly and kept at most half full. A slot holds the id and the
-/// key's 32-bit hash: the home slot is the hash's top bits, so growing
-/// never reads a key, and a probe compares keys only when hashes agree.
-#[derive(Debug, Default)]
-struct Index {
-    slots: Vec<(u32, u32)>,
-    len: usize,
-}
-
-impl Index {
-    /// The id among those filed under `hash` that `is_key` accepts, or
-    /// the free slot where that key belongs. Grows first if one more
-    /// entry would pass the load limit, so the slot stays valid for
-    /// [`Index::insert`].
-    fn find(&mut self, hash: u32, mut is_key: impl FnMut(u32) -> bool) -> Result<u32, usize> {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        loop {
-            let (id, h) = self.slots[i];
-            if id == NONE {
-                return Err(i);
-            }
-            if h == hash && is_key(id) {
-                return Ok(id);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, slot: usize, hash: u32, id: u32) {
-        self.slots[slot] = (id, hash);
-        self.len += 1;
-    }
-
-    fn home(&self, hash: u32) -> usize {
-        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![(NONE, 0); cap]);
-        let mask = self.slots.len() - 1;
-        for (id, hash) in old.into_iter().filter(|&(id, _)| id != NONE) {
-            let mut i = self.home(hash);
-            while self.slots[i].0 != NONE {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = (id, hash);
-        }
-    }
 }
 
 #[cfg(test)]

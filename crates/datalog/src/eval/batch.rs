@@ -18,7 +18,7 @@
 //! enumeration order exactly: expansion steps (probes, cross scans)
 //! append matches in ascending lane order and flush full batches
 //! through the remaining steps *before* generating more rows, so the
-//! emitted `Derived` sequence — and with it every downstream row id —
+//! emitted derivation sequence — and with it every downstream row id —
 //! is identical to the closure chain's. The differential suites enforce
 //! this against the reference oracle.
 //!
@@ -37,10 +37,11 @@
 use crate::ast::CmpOp;
 use crate::db::Relations;
 use crate::error::Result;
-use crate::eval::exec::{compare, Derived, RunCtx};
+use crate::eval::exec::{compare, RunCtx};
 use crate::eval::kernels::{pack, pack_exact, select_cmp};
 use crate::eval::plan::{KeyOp, RulePlan, Step, TermOp};
 use crate::eval::resolve::{RExpr, RLiteral, RRule, RTerm};
+use crate::index::row_hash;
 use crate::value::Const;
 
 /// Rows per batch. Large enough to amortize per-batch dispatch, small
@@ -614,7 +615,7 @@ fn resolve<'a>(src: &Src, relations: &'a Relations, buf: &'a Buf) -> RSrc<'a> {
 }
 
 /// Evaluates a batch plan against `relations`, emitting into `ctx`
-/// exactly the `Derived` sequence the tuple chain would. Caller
+/// exactly the derivation sequence the tuple chain would. Caller
 /// guarantees `!ctx.provenance` and [`ready`].
 pub(crate) fn eval_batch(
     bp: &BatchPlan,
@@ -1114,7 +1115,7 @@ fn expand(
 
 /// Emits every selected lane's head tuples, replicating the tuple
 /// chain's provenance-off emission exactly: relation-level dup skip,
-/// then the workspace `emitted` set, then push. Head sources are
+/// then the round buffer's own dup skip. Head sources are
 /// resolved once per batch; the lane loop stays outermost so multi-head
 /// rules keep the tuple chain's per-row head order.
 fn emit(
@@ -1140,28 +1141,14 @@ fn emit(
             for rs in rsrcs {
                 scratch.tuple.push(rs.get(lane as usize));
             }
-            if relations[*pred as usize].find(&scratch.tuple).is_some() {
-                continue;
-            }
-            if ctx
-                .ws
-                .emitted
-                .get(pred)
-                .is_some_and(|s| s.contains(scratch.tuple.as_slice()))
+            let hash = row_hash(&scratch.tuple);
+            if relations[*pred as usize]
+                .find_hashed(hash, &scratch.tuple)
+                .is_some()
             {
                 continue;
             }
-            let tuple: crate::value::Tuple = scratch.tuple.as_slice().into();
-            ctx.ws
-                .emitted
-                .entry(*pred)
-                .or_default()
-                .insert(tuple.clone());
-            ctx.out.push(Derived {
-                pred: *pred,
-                tuple,
-                prov: None,
-            });
+            ctx.ws.out.push(*pred, hash, &scratch.tuple, None);
         }
     }
 }

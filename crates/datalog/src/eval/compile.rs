@@ -37,10 +37,11 @@ use crate::ast::{AggFunc, BinOp, CmpOp};
 use crate::db::{ProvEntry, Relations, SkolemTable};
 use crate::error::{DatalogError, Result};
 use crate::eval::batch;
-use crate::eval::exec::{arith, compare, eval_expr, Derived, RunCtx};
+use crate::eval::exec::{arith, compare, eval_expr, RunCtx};
 use crate::eval::plan::{KeyOp, RulePlan, RulePlans, Step, TermOp};
 use crate::eval::resolve::{AggKind, RAgg, RAtom, RExpr, RRule, RTerm};
-use crate::value::{Const, Tuple};
+use crate::index::row_hash;
+use crate::value::Const;
 
 /// One compiled stage: consumes the current [`Frame`], enumerates its
 /// matches (or applies its filter) and calls the next stage it owns.
@@ -514,41 +515,16 @@ fn make_emit(rule: &RRule) -> Stage {
             }
             // Emit-time dup-skip, exactly as the interpreted executor:
             // inserting an existing fact is a no-op that never overrides
-            // provenance, so skip without boxing a tuple.
-            if f.relations[atom.pred as usize].find(&f.tuple_buf).is_some() {
-                continue;
-            }
-            if !f.ctx.provenance {
-                // No provenance to arbitrate between in-round duplicates:
-                // one representative per workspace suffices.
-                if f.ctx
-                    .ws
-                    .emitted
-                    .get(&atom.pred)
-                    .is_some_and(|s| s.contains(f.tuple_buf.as_slice()))
-                {
-                    continue;
-                }
-                let tuple: Tuple = f.tuple_buf.as_slice().into();
-                f.ctx
-                    .ws
-                    .emitted
-                    .entry(atom.pred)
-                    .or_default()
-                    .insert(tuple.clone());
-                f.ctx.out.push(Derived {
-                    pred: atom.pred,
-                    tuple,
-                    prov: None,
-                });
+            // provenance, so skip without buffering it.
+            let hash = row_hash(&f.tuple_buf);
+            if f.relations[atom.pred as usize]
+                .find_hashed(hash, &f.tuple_buf)
+                .is_some()
+            {
                 continue;
             }
             let prov = make_prov(rule_idx, &f.support, f.ctx.provenance);
-            f.ctx.out.push(Derived {
-                pred: atom.pred,
-                tuple: f.tuple_buf.as_slice().into(),
-                prov,
-            });
+            f.ctx.ws.out.push(atom.pred, hash, &f.tuple_buf, prov);
         }
         for v in bound_ex {
             f.binding[v as usize] = None;
@@ -623,11 +599,11 @@ fn make_agg(rule: &RRule, agg: RAgg, kind: AggKind) -> Stage {
                     }
                 }
                 let prov = make_prov(rule_idx, &f.support, f.ctx.provenance);
-                f.ctx.out.push(Derived {
-                    pred: head.pred,
-                    tuple: f.tuple_buf.as_slice().into(),
-                    prov,
-                });
+                let hash = row_hash(&f.tuple_buf);
+                f.ctx
+                    .ws
+                    .out
+                    .push_emission(head.pred, hash, &f.tuple_buf, prov);
             }
             Ok(())
         }),
@@ -652,36 +628,20 @@ fn make_agg(rule: &RRule, agg: RAgg, kind: AggKind) -> Stage {
                     value,
                     epsilon,
                 );
-                // Probe by the buffer; a head tuple is allocated only for
-                // a fact that is emitted.
-                let head_row = f.tuple_buf.as_slice();
-                if !compare(op, state.total_const(), rhs_val)
-                    || f.relations[head.pred as usize].find(head_row).is_some()
-                {
-                    // Below the threshold, or already stored: re-deriving
-                    // an existing fact is a no-op at insert time.
+                if !compare(op, state.total_const(), rhs_val) {
                     return Ok(());
                 }
-                if !f.ctx.provenance {
-                    let seen = f.ctx.ws.emitted.entry(head.pred).or_default();
-                    if seen.contains(head_row) {
-                        return Ok(());
-                    }
-                    let tuple: Tuple = head_row.into();
-                    seen.insert(tuple.clone());
-                    f.ctx.out.push(Derived {
-                        pred: head.pred,
-                        tuple,
-                        prov: None,
-                    });
+                // Already stored: re-deriving an existing fact is a no-op
+                // at insert time.
+                let hash = row_hash(&f.tuple_buf);
+                if f.relations[head.pred as usize]
+                    .find_hashed(hash, &f.tuple_buf)
+                    .is_some()
+                {
                     return Ok(());
                 }
                 let prov = make_prov(rule_idx, &f.support, f.ctx.provenance);
-                f.ctx.out.push(Derived {
-                    pred: head.pred,
-                    tuple: head_row.into(),
-                    prov,
-                });
+                f.ctx.ws.out.push(head.pred, hash, &f.tuple_buf, prov);
                 Ok(())
             })
         }

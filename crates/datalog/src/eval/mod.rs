@@ -45,12 +45,12 @@ use crate::ast::{Lit, PostOp, Program, Query};
 use crate::builtins::FunctionRegistry;
 use crate::db::{Database, ProvEntry, Relations};
 use crate::error::{DatalogError, Result};
-use crate::fx::FxHashMap;
-use crate::value::{Const, Tuple};
+use crate::index::{key_hash, next_id, Index};
+use crate::value::Const;
 
 use agg::AggStore;
 use compile::{compile_stratum, eval_compiled, CompiledRulePlans};
-use exec::{eval_rule, Derived, RunCtx, Workspace};
+use exec::{eval_rule, RunCtx, Workspace};
 use plan::{plan_stratum, RulePlans, Step, StratumStats};
 use resolve::{resolve_rules, CompiledProgram, RLiteral, RRule};
 
@@ -511,7 +511,7 @@ pub(crate) fn run_stratum(
                     }
                 }
             }
-            let mut out: Vec<Derived> = Vec::new();
+            ws.out.begin(options.provenance);
             {
                 let db_ref = &mut *db;
                 let relations = &db_ref.relations;
@@ -542,7 +542,6 @@ pub(crate) fn run_stratum(
                     skolems: &mut db_ref.skolems,
                     registry,
                     agg: &mut *agg,
-                    out: &mut out,
                     ws: &mut *ws,
                     epsilon: options.epsilon,
                     provenance: options.provenance,
@@ -556,74 +555,18 @@ pub(crate) fn run_stratum(
                     &mut ctx,
                 )?;
             }
-            // Canonical per-round ordering: a round's derived *set* is
-            // independent of body-literal order, so sorting before
-            // insertion pins row ids and provenance regardless of the
-            // plans that produced the buffer. Insertion keeps the first
-            // occurrence of each tuple — i.e. the (pred, tuple, prov)
-            // minimum — so collapsing in-round duplicates to that
-            // minimum *before* sorting leaves the inserted sequence
-            // untouched while the comparison-heavy sort only sees the
-            // unique survivors. Joins that re-derive one head many times
-            // per round (e.g. a close-link pair once per common
-            // shareholder) shrink by orders of magnitude here.
-            //
-            // With provenance off a round is already duplicate-free:
-            // plain heads and conditional aggregates consult the
-            // workspace emitted set, and epsilon-guarded aggregate
-            // emissions never repeat a tuple within a round. Only
-            // provenance runs need the pass, where duplicates carry
-            // distinct trees and the minimum must be kept.
-            if out.len() > 1 && options.provenance {
-                let mut best: FxHashMap<(u32, Tuple), usize> = FxHashMap::default();
-                best.reserve(out.len());
-                let mut keep = vec![false; out.len()];
-                for (i, d) in out.iter().enumerate() {
-                    match best.entry((d.pred, d.tuple.clone())) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(i);
-                            keep[i] = true;
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let j = *e.get();
-                            if d.prov < out[j].prov {
-                                keep[j] = false;
-                                keep[i] = true;
-                                e.insert(i);
-                            }
-                        }
-                    }
-                }
-                let mut i = 0usize;
-                out.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
-            }
-            out.sort_unstable_by(|a, b| {
-                a.pred
-                    .cmp(&b.pred)
-                    .then_with(|| a.tuple.cmp(&b.tuple))
-                    .then_with(|| a.prov.cmp(&b.prov))
-            });
-            // Snapshot lengths, then insert this round's derivations:
-            // they become the next round's deltas.
+            // Snapshot lengths, then insert this round's derivations in
+            // canonical `(pred, row, prov)` order (`RoundBuffer::drain_into`):
+            // they become the next round's deltas. The buffer already
+            // holds one copy of each row per predicate (the least
+            // derivation of each with provenance on), so the sort sees
+            // only unique rows — joins that re-derive one head many times
+            // per round (a close-link pair once per common shareholder)
+            // shrink by orders of magnitude before it.
             for (i, rel) in db.relations.iter().enumerate() {
                 prev_len[i] = rel.len() as u32;
             }
-            // `out` is sorted by predicate: one copy-on-write check per
-            // predicate, not per fact.
-            let mut new_facts = 0usize;
-            let mut out = out.into_iter().peekable();
-            while let Some(pred) = out.peek().map(|d| d.pred) {
-                let rel = db.relation_mut(pred);
-                while let Some(d) = out.next_if(|d| d.pred == pred) {
-                    if rel.insert(d.tuple, d.prov).1 {
-                        new_facts += 1;
-                    }
-                }
-            }
+            let new_facts = ws.out.drain_into(db);
             stats.derived += new_facts;
             stats.rounds += 1;
             round += 1;
@@ -678,11 +621,16 @@ fn eval_round(
 }
 
 /// Applies a `@post` grouping filter: per grouping of all columns except the
-/// value column, keep only the row with the extremal value.
+/// value column, keep only the row with the extremal value (the first of
+/// equals), and store the survivors sorted.
 ///
-/// The survivors are renumbered, so with provenance tracked every parent
-/// pointer into the relation is remapped: to the row's new id when its
-/// exact tuple survived, to [`ProvEntry::COMPACTED`] when it did not.
+/// The survivors are grouped by row id through the shared index
+/// ([`crate::index`]) over their non-value columns, compared in the row
+/// store itself; their ids are sorted by row and the relation keeps those
+/// rows ([`crate::db::Relation::keep_rows`]) — no row is copied out
+/// before the one rewrite. With provenance tracked every parent pointer
+/// into the relation is remapped: to the row's new id when it survived,
+/// to [`ProvEntry::COMPACTED`] when it did not.
 pub(crate) fn apply_post(db: &mut Database, pred: &str, op: &PostOp) {
     let Some(p) = db.find_pred(pred) else {
         return;
@@ -699,44 +647,50 @@ pub(crate) fn apply_post(db: &mut Database, pred: &str, op: &PostOp) {
     if col >= arity {
         return;
     }
-    let mut best: crate::fx::FxHashMap<Tuple, Tuple> = crate::fx::FxHashMap::default();
-    for row in rel.rows() {
-        let key: Tuple = row
-            .iter()
+    // `best[g]` is the surviving row of group `g` so far.
+    let mut groups = Index::default();
+    let mut best: Vec<u32> = Vec::new();
+    let mut key: Vec<Const> = Vec::with_capacity(arity - 1);
+    let same_group = |a: &[Const], b: &[Const]| {
+        a.iter()
+            .zip(b)
             .enumerate()
-            .filter(|(i, _)| *i != col)
-            .map(|(_, c)| *c)
-            .collect();
-        match best.get(&key) {
-            Some(prev) => {
+            .all(|(i, (x, y))| i == col || x == y)
+    };
+    for (id, row) in rel.rows().enumerate() {
+        key.clear();
+        key.extend(row[..col].iter().chain(&row[col + 1..]));
+        let hash = key_hash(0, &key);
+        match groups.find(hash, |g| same_group(rel.row(best[g as usize]), row)) {
+            Ok(g) => {
+                let prev = rel.row(best[g as usize])[col];
                 let replace = if keep_max {
-                    row[col] > prev[col]
+                    row[col] > prev
                 } else {
-                    row[col] < prev[col]
+                    row[col] < prev
                 };
                 if replace {
-                    best.insert(key, row.into());
+                    best[g as usize] = id as u32;
                 }
             }
-            None => {
-                best.insert(key, row.into());
+            Err(slot) => {
+                groups.insert(slot, hash, next_id(best.len()));
+                best.push(id as u32);
             }
         }
     }
-    let mut rows: Vec<Tuple> = best.into_values().collect();
-    rows.sort();
-    let old_rows: Vec<Tuple> = if rel.tracks_prov() {
-        rel.rows().map(Tuple::from).collect()
+    best.sort_unstable_by(|&a, &b| rel.row(a).cmp(rel.row(b)));
+    let remap: Vec<u32> = if rel.tracks_prov() {
+        let mut remap = vec![ProvEntry::COMPACTED; rel.len()];
+        for (new, &old) in best.iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        remap
     } else {
         Vec::new()
     };
-    db.relation_mut(p).replace_all(rows);
-    if !old_rows.is_empty() {
-        let rel = &db.relations[p as usize];
-        let remap: Vec<u32> = old_rows
-            .iter()
-            .map(|t| rel.find(t).unwrap_or(ProvEntry::COMPACTED))
-            .collect();
+    db.relation_mut(p).keep_rows(&best);
+    if !remap.is_empty() {
         for r in db.relations.iter_mut().filter(|r| r.tracks_prov()) {
             Arc::make_mut(r).remap_parents(p, &remap);
         }

@@ -1001,7 +1001,7 @@ mod tests {
     fn distinct_sampling_saturation() {
         let mut rel = Relation::default();
         for i in 0..(DISTINCT_SAMPLE as i64 + 500) {
-            rel.insert(vec![Const::Int(i), Const::Int(i % 3)].into(), None);
+            rel.insert(&[Const::Int(i), Const::Int(i % 3)], None);
         }
         let ps = PredStats::measure(&rel);
         // Column 0 is key-like: sample saturates, extrapolate to all rows.

@@ -1,11 +1,11 @@
 //! Dependency-free FxHash-style hasher for the evaluation hot path.
 //!
-//! Every `Tuple`-keyed map in the engine — relation dedup maps, hash-join
-//! indexes, the Skolem table, aggregate groups — hashes short slices of
-//! [`crate::value::Const`], and the string-keyed ones (the symbol table,
-//! the predicate table) hash short names. SipHash (the `std` default) pays
+//! Every key the engine hashes — rows in a relation's dedup index and a
+//! round's buffer, hash-join keys, the Skolem table, aggregate groups —
+//! is a short slice of [`crate::value::Const`] or a short name (the
+//! symbol table, the predicate table). SipHash (the `std` default) pays
 //! its DoS-resistance tax on every probe of the fixpoint inner loop; these
-//! maps are keyed by interned ids, small numerics and names under our own
+//! keys are interned ids, small numerics and names under our own
 //! control, so a fast multiply-rotate hash is the right trade. The
 //! per-word step is the Fx construction used by rustc (word-at-a-time
 //! `rotate ^ mix * K`), implemented here locally because the build

@@ -341,7 +341,7 @@ impl IncrementalEngine {
             }
             let t: Tuple = tuple.clone().into();
             if self.db.relations[p as usize].find(&t).is_none() {
-                self.db.relation_mut(p).insert(t.clone(), None);
+                self.db.relation_mut(p).insert(&t, None);
                 raw.entry(p).or_default().push_ins(t);
             }
         }
@@ -537,9 +537,7 @@ impl IncrementalEngine {
         old_rows.sort_unstable();
         let old: Vec<Tuple> = old_rows.iter().map(|&r| Tuple::from(rel.row(r))).collect();
 
-        let guard = self
-            .db
-            .push_scratch_relation(keys.iter().map(|&k| Tuple::from(&[k][..])));
+        let guard = self.db.push_scratch_relation(keys.iter().map(|&k| [k]));
         let mut rules = self.rules.clone();
         for pr in &part.rules {
             let Some(li) = pr.exit_binder else { continue };
@@ -561,7 +559,7 @@ impl IncrementalEngine {
         let kept = std::mem::take(&mut self.db.relations[p as usize]);
         if let Some(seed) = self.seed_rows.get(&p) {
             for t in seed.iter().filter(|t| reached(t)) {
-                self.db.relation_mut(p).insert(t.clone(), None);
+                self.db.relation_mut(p).insert(t, None);
             }
         }
         let run = run_stratum(
@@ -843,7 +841,7 @@ impl IncrementalEngine {
             }
             first_round = false;
             for (p, t) in queued {
-                self.db.relation_mut(p).insert(t.clone(), None);
+                self.db.relation_mut(p).insert(&t, None);
                 out.entry(p).or_default().push_ins(t.clone());
                 frontier.entry(p).or_default().push(t);
             }

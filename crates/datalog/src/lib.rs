@@ -60,6 +60,7 @@ pub mod eval;
 pub mod explain;
 pub mod fx;
 pub mod incr;
+pub(crate) mod index;
 pub mod parser;
 pub mod value;
 

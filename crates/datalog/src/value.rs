@@ -147,12 +147,12 @@ impl fmt::Display for Const {
     }
 }
 
-/// A ground tuple (fact payload).
-///
-/// Shared (`Arc`) so the row store, the dedup map and any index keys all
-/// point at one allocation — and so cloning a [`crate::Database`] (the
-/// serve epochs, incremental sessions and before/after differentials) bumps refcounts instead of reallocating
-/// every stored fact.
+/// A ground tuple, owned on its own: the form a fact takes at the
+/// engine's API edges — incremental deltas, Skolem definitions, hash-join
+/// keys. Relations and the fixpoint's round buffer never hold one: they
+/// copy a fact's constants into their row-major arenas and hand out
+/// `&[Const]` slices ([`crate::db::Relation::row`]). Shared (`Arc`) so
+/// that copies of one delta or key bump a refcount.
 pub type Tuple = std::sync::Arc<[Const]>;
 
 #[cfg(test)]

@@ -4,10 +4,13 @@
 //!
 //! 1. **Total**: neither `analyze` nor parse → `Engine::new` → `run`
 //!    panics, whatever the input — checked on arbitrary strings and on
-//!    token soup drawn from the grammar's own alphabet (the inputs most
-//!    likely to parse and reach the deeper passes). The engine's gate is
-//!    the analyzer, so a program it lets through must be one the
-//!    stratifier and the executors can take.
+//!    rule-shaped token soup: rules `head :- atoms, comparisons,
+//!    aggregates` spelled in the grammar's own tokens, then mutated by
+//!    token deletions, insertions and swaps (the inputs most likely to
+//!    parse and reach the deeper passes; at least a quarter of them parse
+//!    to a program with a rule). The engine's gate is the analyzer, so a
+//!    program it lets through must be one the stratifier and the
+//!    executors can take.
 //! 2. **Sound as a gate**: any program the analyzer accepts under the
 //!    default config constructs an `Engine` and evaluates on a small
 //!    database without *structural* runtime errors. Unbound variables,
@@ -92,6 +95,95 @@ const TOKENS: [&str; 20] = [
     "@post(\"a\", \"unique(0)\").",
 ];
 
+/// Predicates with their arities, for rule-shaped soup: the ones
+/// [`small_db`] holds, plus two that only rules derive.
+const PREDS: [(&str, usize); 5] = [("e2", 2), ("q1", 1), ("own3", 3), ("p", 1), ("r", 2)];
+
+/// Terms of rule-shaped soup: variables, the anonymous variable and
+/// constants of every kind the lexer knows.
+const TERMS: [&str; 8] = ["X", "Y", "Z", "W", "_", "a", "\"s\"", "3"];
+
+/// An atom `pred(t, …)` of its predicate's arity, as tokens.
+fn atom(pred: (&'static str, usize), terms: &[&'static str]) -> Vec<&'static str> {
+    let mut out = vec![pred.0, "("];
+    for (i, t) in terms.iter().cycle().take(pred.1).enumerate() {
+        if i > 0 {
+            out.push(",");
+        }
+        out.push(t);
+    }
+    out.push(")");
+    out
+}
+
+/// One body literal as tokens: an atom, a negated atom, a comparison, a
+/// `V = msum(…)` binding or a conditional aggregate.
+fn literal() -> impl Strategy<Value = Vec<&'static str>> {
+    (
+        0usize..6,
+        prop::sample::select(PREDS.to_vec()),
+        prop::collection::vec(prop::sample::select(TERMS.to_vec()), 3),
+        prop::sample::select(vec!["<", ">", "=", "!="]),
+        prop::sample::select(vec!["X", "Y", "Z"]),
+    )
+        .prop_map(|(kind, pred, terms, cmp, key)| match kind {
+            0 | 1 => atom(pred, &terms),
+            2 => [vec!["not"], atom(pred, &terms)].concat(),
+            3 => vec![terms[0], cmp, terms[1]],
+            4 => vec!["V", "=", "msum", "(", "W", ",", "<", key, ">", ")"],
+            _ => vec!["msum", "(", "W", ",", "<", key, ">", ")", ">", "0.5"],
+        })
+}
+
+/// A rule `head :- own3(X, Y, W), lit, ….` as tokens: the leading atom
+/// binds the variables most literals read, so that many rules are safe
+/// and reach the engine, not only the parser.
+fn rule_tokens() -> impl Strategy<Value = Vec<&'static str>> {
+    (
+        prop::sample::select(PREDS.to_vec()),
+        prop::collection::vec(prop::sample::select(vec!["X", "Y", "V", "a"]), 3),
+        prop::collection::vec(literal(), 0..3),
+    )
+        .prop_map(|(head, terms, body)| {
+            let mut out = atom(head, &terms);
+            out.extend([":-", "own3", "(", "X", ",", "Y", ",", "W", ")"]);
+            for lit in body {
+                out.push(",");
+                out.extend(lit);
+            }
+            out.push(".");
+            out
+        })
+}
+
+/// Rule-shaped token soup: one to three rules, then up to two
+/// mutations, each deleting a token, inserting one of [`TOKENS`] or
+/// swapping two neighbours.
+fn rule_soup() -> impl Strategy<Value = String> {
+    (
+        prop::collection::vec(rule_tokens(), 1..4),
+        prop::collection::vec(
+            (0u8..3, 0usize..1000, prop::sample::select(TOKENS.to_vec())),
+            0..3,
+        ),
+    )
+        .prop_map(|(rules, mutations)| {
+            let mut tokens: Vec<&str> = rules.concat();
+            for (op, at, token) in mutations {
+                let at = at % tokens.len().max(1);
+                match op {
+                    0 if !tokens.is_empty() => {
+                        tokens.remove(at);
+                    }
+                    1 => tokens.insert(at, token),
+                    _ if at + 1 < tokens.len() => tokens.swap(at, at + 1),
+                    _ => {}
+                }
+            }
+            tokens.join(" ")
+        })
+}
+
 fn small_db() -> Database {
     let mut db = Database::new();
     db.assert_str_facts("q1", &[&["a"], &["b"]]);
@@ -131,13 +223,11 @@ proptest! {
         }
     }
 
-    /// Token soup parses far more often than arbitrary unicode, driving
-    /// the passes over genuinely weird (but syntactic) programs.
+    /// Rule-shaped token soup parses far more often than arbitrary
+    /// unicode, driving the passes over genuinely weird (but syntactic)
+    /// programs.
     #[test]
-    fn analyzer_never_panics_on_tokenish_soup(
-        parts in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..40)
-    ) {
-        let src: String = parts.join(" ");
+    fn analyzer_never_panics_on_tokenish_soup(src in rule_soup()) {
         if let Ok(program) = Program::parse(&src) {
             let _ = analyze_with(&program, &AnalysisConfig::default());
             let _ = analyze_with(&program, &AnalysisConfig::strict());
@@ -152,12 +242,10 @@ proptest! {
         construct_and_run(&src);
     }
 
-    /// The same on token soup, which parses far more often.
+    /// The same on rule-shaped token soup, which parses far more often.
     #[test]
-    fn engine_never_panics_on_tokenish_soup(
-        parts in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..40)
-    ) {
-        construct_and_run(&parts.join(" "));
+    fn engine_never_panics_on_tokenish_soup(src in rule_soup()) {
+        construct_and_run(&src);
     }
 
     /// Generated programs, unfiltered: many carry the shapes only the
@@ -195,4 +283,19 @@ proptest! {
             Err(e) => panic!("structural runtime error on clean program: {src}\n{e}"),
         }
     }
+}
+
+/// The soup reaches rules: of the 256 inputs the two soup properties
+/// draw, at least 64 parse to a program with a rule.
+#[test]
+fn rule_soup_parses_to_rules() {
+    let soup = rule_soup();
+    let with_rule = (0..256)
+        .filter(|&case| {
+            let seed = proptest::seed_for("engine_never_panics_on_tokenish_soup", case);
+            let src = soup.generate(&mut TestRng::new(seed));
+            Program::parse(&src).is_ok_and(|p| !p.rules.is_empty())
+        })
+        .count();
+    assert!(with_rule >= 64, "{with_rule} of 256 inputs parse to a rule");
 }

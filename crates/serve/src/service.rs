@@ -14,7 +14,7 @@
 //!   goal with a bound argument binary-searches that column's lookup
 //!   index (built by the epoch's first reader to bind the column, shared
 //!   by the others and by later epochs that leave the relation alone), a
-//!   fully bound goal probes the dedup map, and only an all-free goal
+//!   fully bound goal probes the dedup index, and only an all-free goal
 //!   walks the relation ([`ServiceStats::scan_lookups`] counts those).
 //!   The engine doubles as the differential reference:
 //!   [`GraphService::query_on`] re-derives the answer from scratch over
@@ -496,7 +496,7 @@ impl GraphService {
                 Lit::Bool(b) => tuple.push(Const::Bool(*b)),
             }
         }
-        // Existence is one probe of the relation's dedup map.
+        // Existence is one probe of the relation's dedup index.
         if db.relation(&q.pred).and_then(|r| r.find(&tuple)).is_none() {
             return Ok((pin.id(), None));
         }
